@@ -1,6 +1,7 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <charconv>
 
 namespace mube {
 
@@ -76,6 +77,31 @@ std::string NormalizeAttributeName(std::string_view name) {
 
 bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
+}
+
+Status ParseDouble(std::string_view token, double* out) {
+  // std::from_chars<double> is not universally available; use stod with a
+  // guard.
+  try {
+    size_t consumed = 0;
+    std::string owned(token);
+    *out = std::stod(owned, &consumed);
+    if (consumed != owned.size()) {
+      return Status::InvalidArgument("trailing junk in number: " + owned);
+    }
+  } catch (const std::exception&) {
+    return Status::InvalidArgument("not a number: " + std::string(token));
+  }
+  return Status::OK();
+}
+
+Status ParseUint64(std::string_view token, uint64_t* out) {
+  auto [ptr, ec] =
+      std::from_chars(token.data(), token.data() + token.size(), *out);
+  if (ec != std::errc() || ptr != token.data() + token.size()) {
+    return Status::InvalidArgument("not an integer: " + std::string(token));
+  }
+  return Status::OK();
 }
 
 }  // namespace mube

@@ -1,13 +1,16 @@
 #ifndef MUBE_COMMON_STRING_UTIL_H_
 #define MUBE_COMMON_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/status.h"
+
 /// \file string_util.h
 /// Small string helpers shared by the text-similarity layer (attribute-name
-/// normalization) and the schema (de)serializers.
+/// normalization) and the text (de)serializers.
 
 namespace mube {
 
@@ -34,6 +37,11 @@ std::string NormalizeAttributeName(std::string_view name);
 
 /// True if `s` starts with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
+
+/// Strict number parsing for the text formats: the whole token must be the
+/// number, so "0.5junk" or "3x" is InvalidArgument, never a silent prefix.
+Status ParseDouble(std::string_view token, double* out);
+Status ParseUint64(std::string_view token, uint64_t* out);
 
 }  // namespace mube
 

@@ -1,11 +1,9 @@
 #include "core/session.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
 #include "common/string_util.h"
-#include "opt/optimizer.h"
 #include "schema/serialization.h"
 
 namespace mube {
@@ -29,63 +27,6 @@ Result<std::unique_ptr<Session>> Session::Create(DeltaUniverse* universe,
   return session;
 }
 
-Status Session::PinSource(const std::string& name) {
-  std::optional<uint32_t> sid = mube_->universe().FindSource(name);
-  if (!sid.has_value()) {
-    return Status::NotFound("no source named '" + name + "'");
-  }
-  return PinSource(*sid);
-}
-
-Status Session::PinSource(uint32_t source_id) {
-  if (source_id >= mube_->universe().size()) {
-    return Status::InvalidArgument("source id out of range");
-  }
-  if (!mube_->universe().alive(source_id)) {
-    return Status::FailedPrecondition(
-        "source '" + mube_->universe().source(source_id).name() +
-        "' has been removed from the universe");
-  }
-  auto pos = std::lower_bound(pinned_sources_.begin(), pinned_sources_.end(),
-                              source_id);
-  if (pos != pinned_sources_.end() && *pos == source_id) {
-    return Status::AlreadyExists("source already pinned");
-  }
-  pinned_sources_.insert(pos, source_id);
-  return Status::OK();
-}
-
-Status Session::UnpinSource(uint32_t source_id) {
-  auto pos = std::lower_bound(pinned_sources_.begin(), pinned_sources_.end(),
-                              source_id);
-  if (pos == pinned_sources_.end() || *pos != source_id) {
-    return Status::NotFound("source is not pinned");
-  }
-  pinned_sources_.erase(pos);
-  return Status::OK();
-}
-
-Status Session::AddGaConstraint(GlobalAttribute ga) {
-  if (!ga.IsValid()) {
-    return Status::InvalidArgument("GA constraint is not valid");
-  }
-  for (const AttributeRef& ref : ga.members()) {
-    if (!mube_->universe().Contains(ref)) {
-      return Status::InvalidArgument("GA constraint references unknown " +
-                                     ref.ToString());
-    }
-  }
-  // The combined constraint set must stay a well-formed partial schema.
-  MediatedSchema candidate = ga_constraints_;
-  candidate.Add(std::move(ga));
-  if (!candidate.IsWellFormed()) {
-    return Status::InvalidArgument(
-        "GA constraint overlaps an existing constraint");
-  }
-  ga_constraints_ = std::move(candidate);
-  return Status::OK();
-}
-
 Status Session::AddGaConstraintFromText(const std::string& line) {
   MUBE_ASSIGN_OR_RETURN(GlobalAttribute ga,
                         ParseGlobalAttribute(line, mube_->universe()));
@@ -104,95 +45,30 @@ Status Session::AdoptGaFromLastResult(size_t index) {
   return AddGaConstraint(schema.ga(index));
 }
 
-Status Session::SetWeights(const std::vector<double>& weights) {
-  if (weights.size() != mube_->config().qefs.size()) {
-    return Status::InvalidArgument("weight count mismatch");
-  }
-  double sum = 0.0;
-  for (double w : weights) {
-    if (w < 0.0 || w > 1.0) {
-      return Status::InvalidArgument("weight out of [0,1]");
-    }
-    sum += w;
-  }
-  if (std::abs(sum - 1.0) > 1e-9) {
-    return Status::InvalidArgument("weights must sum to 1");
-  }
-  weights_ = weights;
-  return Status::OK();
-}
-
-Status Session::SetTheta(double theta) {
-  if (theta < 0.0 || theta > 1.0) {
-    return Status::InvalidArgument("theta must be in [0,1]");
-  }
-  theta_ = theta;
-  return Status::OK();
-}
-
-Status Session::SetMaxSources(size_t max_sources) {
-  if (max_sources == 0) {
-    return Status::InvalidArgument("max_sources must be >= 1");
-  }
-  max_sources_ = max_sources;
-  return Status::OK();
-}
-
-Status Session::SetOptimizer(const std::string& name) {
-  // Validate eagerly so the user learns about a typo now, not at Iterate().
-  OptimizerOptions probe;
-  MUBE_ASSIGN_OR_RETURN(std::unique_ptr<Optimizer> optimizer,
-                        MakeOptimizer(name, probe));
-  (void)optimizer;
-  optimizer_ = name;
-  return Status::OK();
-}
-
-Status Session::SetHealthBias(double weight) {
-  if (weight < 0.0 || weight >= 1.0) {
-    return Status::InvalidArgument("health bias must be in [0,1)");
-  }
-  health_bias_ = weight;
-  return Status::OK();
-}
-
-std::map<uint32_t, double> Session::HealthScores() const {
-  std::map<uint32_t, double> scores;
-  for (const auto& [sid, health] : source_health_) {
-    const size_t total =
-        health.scans_ok + health.scans_failed + health.short_circuits;
-    if (total == 0) continue;
-    scores[sid] = static_cast<double>(health.scans_ok) /
-                  static_cast<double>(total);
-  }
-  return scores;
-}
-
 RunSpec Session::BuildRunSpec() const {
-  RunSpec spec;
-  spec.source_constraints = pinned_sources_;
-  spec.ga_constraints = ga_constraints_;
-  if (!weights_.empty()) spec.weights = weights_;
-  if (theta_ >= 0.0) spec.theta = theta_;
-  if (max_sources_ > 0) spec.max_sources = max_sources_;
-  if (!optimizer_.empty()) spec.optimizer = optimizer_;
-  if (health_bias_ > 0.0) {
-    spec.source_health = HealthScores();
-    spec.health_weight = health_bias_;
-  }
   // Vary the seed across iterations so re-running the same problem can
   // escape an unlucky search trajectory, while staying reproducible.
-  spec.seed = seed_ + history_.size();
-  return spec;
+  return state_.BuildRunSpec(mube_->universe(), seed_ + history_.size());
+}
+
+void Session::ObservePlan(const ReOptimizePlan& plan) {
+  if (metrics_.reiterate_warm == nullptr) return;
+  (plan.warm ? metrics_.reiterate_warm : metrics_.reiterate_cold)
+      ->Increment();
+  metrics_.reopt_budget->Observe(static_cast<double>(plan.max_evaluations));
+  metrics_.reopt_churn_fraction->Observe(plan.churn_fraction);
+}
+
+const MubeResult& Session::CommitIteration(MubeResult result) {
+  history_.push_back(std::move(result));
+  pending_churn_ = ChurnDelta();
+  if (metrics_.iterations != nullptr) metrics_.iterations->Increment();
+  return history_.back();
 }
 
 Result<MubeResult> Session::Iterate() {
   MUBE_ASSIGN_OR_RETURN(MubeResult result, mube_->Run(BuildRunSpec()));
-  history_.push_back(std::move(result));
-  // A full fresh solve accounts for all catalog changes so far.
-  pending_churn_ = ChurnDelta();
-  if (metrics_.iterations != nullptr) metrics_.iterations->Increment();
-  return history_.back();
+  return CommitIteration(std::move(result));
 }
 
 Result<std::vector<MubeResult>> Session::IterateAlternatives(
@@ -214,13 +90,7 @@ Result<std::vector<MubeResult>> Session::IterateAlternatives(
           seed.initial_solution = plan.initial_solution;
           seed.max_evaluations = plan.max_evaluations;
         }
-        if (metrics_.reiterate_warm != nullptr) {
-          (plan.warm ? metrics_.reiterate_warm : metrics_.reiterate_cold)
-              ->Increment();
-          metrics_.reopt_budget->Observe(
-              static_cast<double>(plan.max_evaluations));
-          metrics_.reopt_churn_fraction->Observe(plan.churn_fraction);
-        }
+        ObservePlan(plan);
       } else {
         // No churn: resume from the incumbent under the full budget — the
         // cheapest way to deepen each alternative's neighborhood.
@@ -278,7 +148,7 @@ Status Session::ApplyChurn(const std::vector<ChurnEvent>& events) {
     // Even a partially applied batch mutated the catalog: reconcile the
     // engine and the constraint state for the applied prefix.
     MUBE_RETURN_IF_ERROR(mube_->ApplyDelta(delta));
-    PruneStaleConstraints();
+    state_.PruneRetired(mube_->universe());
     pending_churn_.MergeFrom(delta);
     for (size_t i = 0; i < applied; ++i) churn_log_.Append(events[i]);
     if (metrics_.churn_events != nullptr) {
@@ -299,64 +169,14 @@ Result<MubeResult> Session::ReIterate() {
     spec.initial_solution = plan.initial_solution;
     spec.max_evaluations = plan.max_evaluations;
   }
-  if (metrics_.reiterate_warm != nullptr) {
-    (plan.warm ? metrics_.reiterate_warm : metrics_.reiterate_cold)
-        ->Increment();
-    metrics_.reopt_budget->Observe(
-        static_cast<double>(plan.max_evaluations));
-    metrics_.reopt_churn_fraction->Observe(plan.churn_fraction);
-  }
+  ObservePlan(plan);
   MUBE_ASSIGN_OR_RETURN(MubeResult result, mube_->Run(spec));
-  history_.push_back(std::move(result));
-  pending_churn_ = ChurnDelta();
-  if (metrics_.iterations != nullptr) metrics_.iterations->Increment();
-  return history_.back();
-}
-
-void Session::PruneStaleConstraints() {
-  const Universe& universe = mube_->universe();
-  pinned_sources_.erase(
-      std::remove_if(pinned_sources_.begin(), pinned_sources_.end(),
-                     [&](uint32_t sid) { return !universe.alive(sid); }),
-      pinned_sources_.end());
-  bool dropped = false;
-  MediatedSchema kept;
-  for (const GlobalAttribute& ga : ga_constraints_.gas()) {
-    const bool stale =
-        std::any_of(ga.members().begin(), ga.members().end(),
-                    [&](const AttributeRef& ref) {
-                      return !universe.alive(ref.source_id);
-                    });
-    if (stale) {
-      dropped = true;
-    } else {
-      kept.Add(ga);
-    }
-  }
-  if (dropped) ga_constraints_ = std::move(kept);
+  return CommitIteration(std::move(result));
 }
 
 void Session::RecordExecution(const ExecutionReport& report) {
   reliability_stats_.MergeReport(report);
-  for (const SourceScanLog& log : report.scans) {
-    SourceHealth& health = source_health_[log.source_id];
-    switch (log.status) {
-      case ScanStatus::kOk:
-        ++health.scans_ok;
-        health.last_fault = FaultKind::kNone;
-        break;
-      case ScanStatus::kFailed:
-      case ScanStatus::kDeadlineSkipped:
-        ++health.scans_failed;
-        health.last_fault = log.last_fault;
-        break;
-      case ScanStatus::kShortCircuited:
-        ++health.short_circuits;
-        break;
-      case ScanStatus::kSkippedCannotAnswer:
-        break;  // not a health signal: the schema, not the source
-    }
-  }
+  state_.RecordExecution(report);
 }
 
 std::string Session::RenderLastResult() const {
@@ -383,41 +203,7 @@ std::string Session::RenderLastResult() const {
 Result<std::string> Session::SaveState() const {
   std::ostringstream out;
   out << "# mube session state v1\n";
-  const Universe& universe = mube_->universe();
-  for (uint32_t sid : pinned_sources_) {
-    out << "pin " << universe.source(sid).name() << "\n";
-  }
-  for (const GlobalAttribute& ga : ga_constraints_.gas()) {
-    out << "ga ";
-    for (size_t i = 0; i < ga.members().size(); ++i) {
-      const AttributeRef& ref = ga.members()[i];
-      if (i > 0) out << ", ";
-      out << universe.source(ref.source_id).name() << "."
-          << universe.attribute(ref).name;
-    }
-    out << "\n";
-  }
-  if (!weights_.empty()) {
-    out << "weights";
-    for (double w : weights_) {
-      char buf[40];
-      std::snprintf(buf, sizeof(buf), " %.17g", w);
-      out << buf;
-    }
-    out << "\n";
-  }
-  if (theta_ >= 0.0) {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "theta %.17g\n", theta_);
-    out << buf;
-  }
-  if (max_sources_ > 0) out << "max_sources " << max_sources_ << "\n";
-  if (!optimizer_.empty()) out << "optimizer " << optimizer_ << "\n";
-  if (health_bias_ > 0.0) {
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "health_bias %.17g\n", health_bias_);
-    out << buf;
-  }
+  out << state_.SaveDirectives(mube_->universe());
   out << "seed " << seed_ << "\n";
   if (!churn_log_.empty()) {
     // The constraints above name sources as they exist *after* this churn;
@@ -500,86 +286,25 @@ Status Session::RestoreState(const std::string& blob) {
     }
   }
 
-  // Stage the constraint state, then commit atomically.
-  std::vector<uint32_t> pins;
-  MediatedSchema gas;
-  std::vector<double> weights;
-  double theta = -1.0;
-  size_t max_sources = 0;
-  std::string optimizer;
-  double health_bias = 0.0;
+  // Stage the edits through the same setters as live edits, then commit
+  // atomically.
+  IterationState staged;
   uint64_t seed = seed_;
-
   for (const auto& [line_no, raw] : directives) {
     std::string_view line = Trim(raw);
     if (line.empty() || line.front() == '#') continue;
-    auto fail = [&](const std::string& why) {
-      return Status::InvalidArgument("session state line " +
-                                     std::to_string(line_no) + ": " + why);
-    };
-
-    if (StartsWith(line, "pin ")) {
-      const std::string name(Trim(line.substr(4)));
-      std::optional<uint32_t> sid = mube_->universe().FindSource(name);
-      if (!sid.has_value()) return fail("unknown source '" + name + "'");
-      pins.push_back(*sid);
-    } else if (StartsWith(line, "ga ")) {
-      MUBE_ASSIGN_OR_RETURN(
-          GlobalAttribute ga,
-          ParseGlobalAttribute(line.substr(3), mube_->universe()));
-      gas.Add(std::move(ga));
-    } else if (StartsWith(line, "weights")) {
-      std::istringstream in{std::string(line.substr(7))};
-      double w = 0.0;
-      while (in >> w) weights.push_back(w);
-      if (weights.size() != mube_->config().qefs.size()) {
-        return fail("weight count mismatch");
-      }
-    } else if (StartsWith(line, "theta ")) {
-      try {
-        theta = std::stod(std::string(line.substr(6)));
-      } catch (const std::exception&) {
-        return fail("bad theta");
-      }
-      if (theta < 0.0 || theta > 1.0) return fail("theta out of [0,1]");
-    } else if (StartsWith(line, "max_sources ")) {
-      max_sources = std::strtoull(std::string(line.substr(12)).c_str(),
-                                  nullptr, 10);
-      if (max_sources == 0) return fail("bad max_sources");
-    } else if (StartsWith(line, "optimizer ")) {
-      optimizer = std::string(Trim(line.substr(10)));
-      OptimizerOptions probe;
-      auto made = MakeOptimizer(optimizer, probe);
-      if (!made.ok()) return fail("unknown optimizer '" + optimizer + "'");
-    } else if (StartsWith(line, "health_bias ")) {
-      try {
-        health_bias = std::stod(std::string(line.substr(12)));
-      } catch (const std::exception&) {
-        return fail("bad health_bias");
-      }
-      if (health_bias < 0.0 || health_bias >= 1.0) {
-        return fail("health_bias out of [0,1)");
-      }
-    } else if (StartsWith(line, "seed ")) {
-      seed = std::strtoull(std::string(line.substr(5)).c_str(), nullptr, 10);
-    } else {
-      return fail("unknown directive: " + std::string(line));
+    const Status applied =
+        StartsWith(line, "seed ")
+            ? ParseUint64(Trim(line.substr(5)), &seed)
+            : staged.ApplyDirective(mube_->universe(),
+                                    mube_->config().qefs.size(), line);
+    if (!applied.ok()) {
+      return Status(applied.code(), "session state line " +
+                                        std::to_string(line_no) + ": " +
+                                        applied.message());
     }
   }
-  if (!gas.IsWellFormed() && !gas.empty()) {
-    return Status::InvalidArgument(
-        "session state: GA constraints overlap");
-  }
-
-  std::sort(pins.begin(), pins.end());
-  pins.erase(std::unique(pins.begin(), pins.end()), pins.end());
-  pinned_sources_ = std::move(pins);
-  ga_constraints_ = std::move(gas);
-  weights_ = std::move(weights);
-  theta_ = theta;
-  max_sources_ = max_sources;
-  optimizer_ = std::move(optimizer);
-  health_bias_ = health_bias;
+  state_.ReplaceEdits(std::move(staged));
   seed_ = seed;
   return Status::OK();
 }

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "core/iteration_state.h"
 #include "core/mube.h"
 #include "dynamic/churn.h"
 #include "dynamic/delta_universe.h"
@@ -44,35 +45,51 @@ class Session {
   Session& operator=(const Session&) = delete;
 
   /// \name Constraint editing (between iterations)
+  /// Each edit is validated by IterationState against the session's
+  /// catalog (see iteration_state.h for the rules).
   /// @{
   /// Requires source `name`/`id` in the solution (a source constraint).
-  Status PinSource(const std::string& name);
-  Status PinSource(uint32_t source_id);
-  Status UnpinSource(uint32_t source_id);
-  /// Adds a GA constraint. Rejects invalid GAs.
-  Status AddGaConstraint(GlobalAttribute ga);
+  Status PinSource(const std::string& name) {
+    return state_.PinSource(mube_->universe(), name);
+  }
+  Status PinSource(uint32_t source_id) {
+    return state_.PinSource(mube_->universe(), source_id);
+  }
+  Status UnpinSource(uint32_t source_id) {
+    return state_.UnpinSource(source_id);
+  }
+  /// Adds a GA constraint. Rejects invalid GAs and GAs on retired sources.
+  Status AddGaConstraint(GlobalAttribute ga) {
+    return state_.AddGaConstraint(mube_->universe(), std::move(ga));
+  }
   /// Parses "source.attr, source.attr, ..." into a GA constraint.
   Status AddGaConstraintFromText(const std::string& line);
   /// Adopts GA `index` of the last result as a constraint — the one-click
   /// "keep this" gesture of the µBE UI.
   Status AdoptGaFromLastResult(size_t index);
-  void ClearGaConstraints() { ga_constraints_ = MediatedSchema(); }
-  void ClearSourcePins() { pinned_sources_.clear(); }
+  void ClearGaConstraints() { state_.ClearGaConstraints(); }
+  void ClearSourcePins() { state_.ClearSourcePins(); }
   /// @}
 
   /// \name Problem knobs
   /// @{
-  Status SetWeights(const std::vector<double>& weights);
-  Status SetTheta(double theta);
-  Status SetMaxSources(size_t max_sources);
+  Status SetWeights(const std::vector<double>& weights) {
+    return state_.SetWeights(mube_->config().qefs.size(), weights);
+  }
+  Status SetTheta(double theta) { return state_.SetTheta(theta); }
+  Status SetMaxSources(size_t max_sources) {
+    return state_.SetMaxSources(max_sources);
+  }
   void SetSeed(uint64_t seed) { seed_ = seed; }
-  Status SetOptimizer(const std::string& name);
+  Status SetOptimizer(const std::string& name) {
+    return state_.SetOptimizer(name);
+  }
   /// Weight of the observed-health QEF appended to the quality function
   /// when recorded executions exist (see SourceHealthQef). 0 (the default)
   /// keeps reliability feedback out of selection — health is then only
   /// reported, never optimized for. Must be in [0, 1).
-  Status SetHealthBias(double weight);
-  double health_bias() const { return health_bias_; }
+  Status SetHealthBias(double weight) { return state_.SetHealthBias(weight); }
+  double health_bias() const { return state_.health_bias(); }
   /// @}
 
   /// Runs one µBE iteration with the current constraint state and appends
@@ -132,15 +149,6 @@ class Session {
 
   /// \name Execution health (fed by the reliability layer)
   /// @{
-  /// Per-source availability as the session has observed it.
-  struct SourceHealth {
-    size_t scans_ok = 0;
-    size_t scans_failed = 0;
-    size_t short_circuits = 0;
-    /// Last injected fault seen on a failed scan (kNone after a success).
-    FaultKind last_fault = FaultKind::kNone;
-  };
-
   /// Folds one resilient query execution into the session's cumulative
   /// reliability stats and per-source health map — this is how breaker
   /// trips and degraded answers become visible at the same surface where
@@ -152,15 +160,15 @@ class Session {
     return reliability_stats_;
   }
   /// Health of each source that has appeared in a recorded execution.
-  const std::map<uint32_t, SourceHealth>& source_health() const {
-    return source_health_;
+  const std::map<uint32_t, IterationState::SourceHealth>& source_health()
+      const {
+    return state_.source_health();
   }
   /// The per-source health scores in [0, 1] the next Iterate() will feed
-  /// the optimizer when health_bias() > 0: successful scans over total
-  /// scans, with short-circuits counted as failures (an open breaker is
-  /// exactly the signal to select around). Sources never executed against
-  /// are absent (treated as healthy).
-  std::map<uint32_t, double> HealthScores() const;
+  /// the optimizer when health_bias() > 0 (see IterationState).
+  std::map<uint32_t, double> HealthScores() const {
+    return state_.HealthScores();
+  }
   /// @}
 
   /// All iteration results, oldest first.
@@ -169,9 +177,11 @@ class Session {
   const MubeResult& last_result() const { return history_.back(); }
 
   const std::vector<uint32_t>& pinned_sources() const {
-    return pinned_sources_;
+    return state_.pinned_sources();
   }
-  const MediatedSchema& ga_constraints() const { return ga_constraints_; }
+  const MediatedSchema& ga_constraints() const {
+    return state_.ga_constraints();
+  }
   const Mube& engine() const { return *mube_; }
 
   /// Renders the last result in the editable text format (one GA per line,
@@ -202,11 +212,15 @@ class Session {
  private:
   explicit Session(std::unique_ptr<Mube> mube) : mube_(std::move(mube)) {}
 
-  /// Drops pins and GA constraints referencing retired sources.
-  void PruneStaleConstraints();
-
   /// Assembles the RunSpec for the current constraint state and knobs.
   RunSpec BuildRunSpec() const;
+
+  /// Records one warm/cold re-optimization decision in the metrics.
+  void ObservePlan(const ReOptimizePlan& plan);
+
+  /// Appends a finished iteration to history() and clears pending churn
+  /// (a full solve accounts for every catalog change so far).
+  const MubeResult& CommitIteration(MubeResult result);
 
   /// Resolved session-level metric handles (all null when detached).
   struct SessionMetrics {
@@ -227,17 +241,10 @@ class Session {
   /// first — next call's warm-start incumbents.
   std::vector<std::vector<uint32_t>> alternative_incumbents_;
   SessionMetrics metrics_;
-  std::vector<uint32_t> pinned_sources_;  // sorted
-  MediatedSchema ga_constraints_;
-  std::vector<double> weights_;  // empty = config defaults
-  double theta_ = -1.0;          // <0 = config default
-  size_t max_sources_ = 0;       // 0 = config default
+  IterationState state_;
   uint64_t seed_ = 1;
-  std::string optimizer_;      // empty = config default
-  double health_bias_ = 0.0;   // 0 = reliability feedback off
   std::vector<MubeResult> history_;
   ReliabilityStats reliability_stats_;
-  std::map<uint32_t, SourceHealth> source_health_;
 };
 
 }  // namespace mube

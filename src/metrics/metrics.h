@@ -19,8 +19,8 @@
 /// similarity measure calls, optimizer evaluation budgets, churn delta
 /// sizes, request latencies — reports through this one surface, so a bench,
 /// a test, or a future scrape endpoint reads them all uniformly. This
-/// generalizes the ReliabilityStats → Session::RecordExecution pattern: the
-/// component counts, the registry exposes.
+/// generalizes the ReliabilityStats → IterationState::RecordExecution
+/// pattern: the component counts, the registry exposes.
 ///
 /// Concurrency contract: every recording operation (Counter::Increment,
 /// Histogram::Observe) and every read (Value, snapshot, Expose) is safe

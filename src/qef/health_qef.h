@@ -9,10 +9,11 @@
 
 /// \file health_qef.h
 /// Observed-availability QEF: closes the loop between the reliability layer
-/// and source selection. The session accumulates per-source scan outcomes
-/// (successes, failures, circuit-breaker short-circuits — see
-/// Session::RecordExecution) and distills them into a health score in
-/// [0, 1] per observed source; this QEF scores a candidate subset S by the
+/// and source selection. The user's IterationState (held by a Session or a
+/// serving Tenant) accumulates per-source scan outcomes (successes,
+/// failures, circuit-breaker short-circuits — see
+/// IterationState::RecordExecution) and distills them into a health score
+/// in [0, 1] per observed source; this QEF scores a candidate subset S by the
 /// mean health of its members, so the optimizer is steered away from
 /// sources whose breakers keep opening without hard-excluding them — a
 /// recovering source wins back weight as successful scans accumulate.

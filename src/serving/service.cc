@@ -611,8 +611,9 @@ ExecuteResponse MubeService::ServeExecute(const Pending& pending,
     breaker_half_opens_->Increment(report.breaker_half_opens);
     breaker_closes_->Increment(report.breaker_closes);
   }
-  // Per-tenant health feedback, exactly as Session::RecordExecution: the
-  // tenant's next biased RunSpec selects around sources it saw failing.
+  // Per-tenant health feedback through IterationState::RecordExecution,
+  // as in a Session: the tenant's next biased RunSpec selects around
+  // sources it saw failing.
   tenant->RecordExecution(report);
   if (report.outcome != QueryOutcome::kFailed) {
     tenant->CacheReport(report);

@@ -1,13 +1,13 @@
 #ifndef MUBE_SERVING_TENANT_H_
 #define MUBE_SERVING_TENANT_H_
 
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/thread_annotations.h"
 #include "common/threading.h"
+#include "core/iteration_state.h"
 #include "core/mube.h"
 #include "reliability/reliable_executor.h"
 
@@ -15,15 +15,16 @@
 /// Per-tenant iteration state for the serving layer. A Session (core/) owns
 /// its engine; a service cannot afford one engine per user — all tenants
 /// share the epoch snapshots (src/serving/snapshot.h) and differ only in
-/// the µBE *user state* of paper §6: pinned sources, GA constraints, QEF
-/// weights, θ, m, optimizer choice, health bias and observed source health.
-/// Tenant carries exactly that state and stamps it into a RunSpec against
-/// whichever epoch the dispatcher leased.
+/// the µBE *user state* of paper §6, an IterationState
+/// (core/iteration_state.h). Tenant wraps that state with a mutex and the
+/// serving bookkeeping, and stamps it into a RunSpec against whichever
+/// epoch the dispatcher leased.
 ///
 /// Ids are stable across epochs (the snapshot lineage never reuses a source
 /// slot), so pins recorded under epoch N mean the same sources under epoch
-/// N+k; pins whose source has since been retired are dropped at spec-build
-/// time, mirroring Session::PruneStaleConstraints.
+/// N+k; pins and GA constraints whose source has since been retired are
+/// dropped by IterationState::BuildRunSpec (lazily: churn publishes without
+/// consulting tenants, where Session prunes eagerly).
 ///
 /// Thread-safe: a tenant's own requests may be in flight concurrently with
 /// its constraint edits (one user, several tabs). All state sits behind one
@@ -63,35 +64,74 @@ class Tenant {
 
   const std::string& name() const { return name_; }
 
-  /// \name Constraint editing
+  /// \name Constraint editing (rules: IterationState)
   /// `universe` is the catalog to validate against — callers pass the
   /// current epoch's universe (ids stay valid in later epochs).
   /// @{
   Status PinSource(const Universe& universe, const std::string& source_name)
-      EXCLUDES(mu_);
+      EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    return state_.PinSource(universe, source_name);
+  }
   Status PinSource(const Universe& universe, uint32_t source_id)
-      EXCLUDES(mu_);
-  Status UnpinSource(uint32_t source_id) EXCLUDES(mu_);
+      EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    return state_.PinSource(universe, source_id);
+  }
+  Status UnpinSource(uint32_t source_id) EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    return state_.UnpinSource(source_id);
+  }
   Status AddGaConstraint(const Universe& universe, GlobalAttribute ga)
-      EXCLUDES(mu_);
-  void ClearGaConstraints() EXCLUDES(mu_);
-  void ClearSourcePins() EXCLUDES(mu_);
-  std::vector<uint32_t> pinned_sources() const EXCLUDES(mu_);
+      EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    return state_.AddGaConstraint(universe, std::move(ga));
+  }
+  void ClearGaConstraints() EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    state_.ClearGaConstraints();
+  }
+  void ClearSourcePins() EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    state_.ClearSourcePins();
+  }
+  std::vector<uint32_t> pinned_sources() const EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    return state_.pinned_sources();
+  }
   /// @}
 
-  /// \name Problem knobs (same contracts as Session's setters)
+  /// \name Problem knobs (rules: IterationState)
   /// @{
   Status SetWeights(size_t qef_count, const std::vector<double>& weights)
-      EXCLUDES(mu_);
-  Status SetTheta(double theta) EXCLUDES(mu_);
-  Status SetMaxSources(size_t max_sources) EXCLUDES(mu_);
-  Status SetOptimizer(const std::string& name) EXCLUDES(mu_);
-  Status SetHealthBias(double weight) EXCLUDES(mu_);
+      EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    return state_.SetWeights(qef_count, weights);
+  }
+  Status SetTheta(double theta) EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    return state_.SetTheta(theta);
+  }
+  Status SetMaxSources(size_t max_sources) EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    return state_.SetMaxSources(max_sources);
+  }
+  Status SetOptimizer(const std::string& name) EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    return state_.SetOptimizer(name);
+  }
+  Status SetHealthBias(double weight) EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    return state_.SetHealthBias(weight);
+  }
   /// @}
 
   /// Folds one resilient execution into this tenant's health view (its
   /// next biased RunSpec selects around sources *it* observed failing).
-  void RecordExecution(const ExecutionReport& report) EXCLUDES(mu_);
+  void RecordExecution(const ExecutionReport& report) EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    state_.RecordExecution(report);
+  }
 
   /// \name Dispatch weight
   /// Deterministic weighted-fair share: the dispatcher grants this tenant
@@ -129,26 +169,20 @@ class Tenant {
   double ewma_serve_seconds() const EXCLUDES(mu_);
   /// @}
 
-  /// Assembles the RunSpec for `universe` (the leased epoch's catalog):
-  /// current pins minus retired sources, GA constraints dropped whole when
-  /// any member's source is gone, knobs, health feedback, and `seed` —
-  /// explicit and caller-provided, so a fixed request stream is
-  /// deterministic per epoch regardless of dispatch interleaving.
+  /// IterationState::BuildRunSpec for `universe` (the leased epoch's
+  /// catalog) under the tenant's lock. `seed` is explicit and
+  /// caller-provided, so a fixed request stream is deterministic per epoch
+  /// regardless of dispatch interleaving.
   RunSpec BuildRunSpec(const Universe& universe, uint64_t seed) const
-      EXCLUDES(mu_);
+      EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    return state_.BuildRunSpec(universe, seed);
+  }
 
  private:
   const std::string name_;
   mutable Mutex mu_;
-  std::vector<uint32_t> pinned_sources_ GUARDED_BY(mu_);  // sorted
-  MediatedSchema ga_constraints_ GUARDED_BY(mu_);
-  std::vector<double> weights_ GUARDED_BY(mu_);  // empty = config defaults
-  double theta_ GUARDED_BY(mu_) = -1.0;          // <0 = config default
-  size_t max_sources_ GUARDED_BY(mu_) = 0;       // 0 = config default
-  std::string optimizer_ GUARDED_BY(mu_);        // empty = config default
-  double health_bias_ GUARDED_BY(mu_) = 0.0;
-  /// (ok, failed) scan counts per source this tenant executed against.
-  std::map<uint32_t, std::pair<size_t, size_t>> scan_counts_ GUARDED_BY(mu_);
+  IterationState state_ GUARDED_BY(mu_);
   size_t dispatch_weight_ GUARDED_BY(mu_) = 1;
   std::optional<MubeResult> incumbent_ GUARDED_BY(mu_);
   std::optional<ExecutionReport> cached_report_ GUARDED_BY(mu_);

@@ -570,8 +570,30 @@ TEST_F(SessionTest, RestoreStateRejectsGarbageAtomically) {
   EXPECT_FALSE(session_->RestoreState("weights 0.5 0.5\n").ok());
   EXPECT_FALSE(session_->RestoreState("optimizer warp\n").ok());
   EXPECT_FALSE(session_->RestoreState("max_sources 0\n").ok());
+  // Every directive goes through the live setters' validation and the
+  // strict number parsers.
+  const std::string saved_before = session_->SaveState().ValueOrDie();
+  EXPECT_FALSE(session_->RestoreState("weights 2 -1 0 0 0\n").ok());
+  EXPECT_FALSE(session_->RestoreState("weights 0.5 0.5 0.5 0.5 0.5\n").ok());
+  EXPECT_FALSE(session_->RestoreState("seed banana\n").ok());
+  EXPECT_FALSE(session_->RestoreState("theta 0.5junk\n").ok());
+  EXPECT_FALSE(session_->RestoreState("max_sources 3junk\n").ok());
+  EXPECT_FALSE(session_->RestoreState("health_bias 0.2x\n").ok());
+  // The session reads the catalog through its pointer, so a source retired
+  // there is retired for the session's validation too.
+  generated_->universe.RetireSource(7);
+  const std::string retired = generated_->universe.source(7).name();
+  EXPECT_EQ(session_->RestoreState("pin " + retired + "\n").code(),
+            StatusCode::kFailedPrecondition);
   // The failed restores must not have clobbered the state.
   EXPECT_EQ(session_->pinned_sources(), before);
+  EXPECT_EQ(session_->SaveState().ValueOrDie(), saved_before);
+
+  // Repeated pins are accepted and deduplicated.
+  const std::string live = generated_->universe.source(4).name();
+  ASSERT_TRUE(
+      session_->RestoreState("pin " + live + "\npin " + live + "\n").ok());
+  EXPECT_EQ(session_->pinned_sources(), (std::vector<uint32_t>{4u}));
 }
 
 TEST_F(SessionTest, RestoreEmptyStateClears) {

@@ -700,6 +700,12 @@ TEST(SessionChurnTest, ChurnPrunesStalePinsAndLogsEvents) {
   Status stale = session->PinSource(uint32_t{2});
   EXPECT_EQ(stale.code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(stale.message().find("removed"), std::string::npos);
+
+  // So is a new GA constraint with a member on the tombstone.
+  Status stale_ga = session->AddGaConstraint(
+      GlobalAttribute({AttributeRef(2, 0), AttributeRef(5, 0)}));
+  EXPECT_EQ(stale_ga.code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(session->ga_constraints().empty());
 }
 
 TEST(SessionChurnTest, ReIterateRunsWarmAfterSmallChurn) {

@@ -354,6 +354,15 @@ TEST(TenantTest, StalePinsAndGasAreShedAtSpecBuildTime) {
   RunSpec spec = tenant.BuildRunSpec(catalog.universe(), 1);
   EXPECT_EQ(spec.source_constraints, (std::vector<uint32_t>{0}));
   EXPECT_EQ(spec.ga_constraints.gas().size(), 0u);
+
+  // A GA constraint added after the retirement is refused at edit time,
+  // the same rule as pinning the retired source.
+  Status stale_ga = tenant.AddGaConstraint(
+      catalog.universe(),
+      GlobalAttribute({AttributeRef(2, 1), AttributeRef(3, 1)}));
+  EXPECT_EQ(stale_ga.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(tenant.PinSource(catalog.universe(), "gamma.com").code(),
+            StatusCode::kFailedPrecondition);
 }
 
 // ---------------------------------------------------------------- Service --
