@@ -1,5 +1,6 @@
 // Google-benchmark microbenches for the µBE hot paths: the pairwise
-// similarity kernel, similarity-matrix construction, Match(S) clustering,
+// similarity kernel, similarity-matrix construction, Match(S) clustering
+// (on the dense matrix and the sparse index, at two universe sizes),
 // PCSA updates/merges/estimates, and whole-solution evaluation. These are
 // the costs that determine whether the interactive loop of §6 stays in the
 // "minutes" envelope the paper targets.
@@ -19,6 +20,8 @@
 #include <bit>
 #include <cstdio>
 #include <cstring>
+#include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -37,6 +40,7 @@
 #include "text/ngram.h"
 #include "text/similarity.h"
 #include "text/similarity_matrix.h"
+#include "text/sparse_similarity.h"
 
 namespace mube {
 namespace {
@@ -88,12 +92,40 @@ void BM_SimilarityMatrixBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_SimilarityMatrixBuild)->Unit(benchmark::kMillisecond);
 
-void BM_MatchSubset(benchmark::State& state) {
-  const Universe& universe = SharedUniverse().universe;
-  static const NGramJaccard jaccard(3);
-  static const SimilarityMatrix* const matrix =
-      new SimilarityMatrix(universe, jaccard);
-  Matcher matcher(universe, *matrix);
+/// Schema-only universes for the Match(S) benches, with both similarity
+/// backends, built once per universe size and kept for the process.
+struct MatchBed {
+  explicit MatchBed(size_t num_sources)
+      : universe([num_sources] {
+          GeneratorConfig config;
+          config.num_sources = num_sources;
+          config.attach_tuples = false;
+          return std::move(GenerateUniverse(config).ValueOrDie().universe);
+        }()),
+        dense(universe, jaccard, /*threads=*/0),
+        sparse(universe, jaccard, SparseIndexOptions(), /*threads=*/0) {}
+
+  NGramJaccard jaccard{3};
+  Universe universe;
+  SimilarityMatrix dense;
+  SparseSimilarityIndex sparse;
+};
+
+const MatchBed& SharedMatchBed(size_t num_sources) {
+  static std::map<size_t, std::unique_ptr<MatchBed>> beds;
+  std::unique_ptr<MatchBed>& bed = beds[num_sources];
+  if (!bed) bed = std::make_unique<MatchBed>(num_sources);
+  return *bed;
+}
+
+/// Match(S) over 64 random m-source subsets of a |U|-source universe;
+/// args (m, |U|). The cost should track m and stay flat in |U|.
+void RunMatchSubset(benchmark::State& state, bool sparse) {
+  const MatchBed& bed =
+      SharedMatchBed(static_cast<size_t>(state.range(1)));
+  const SimilaritySource& similarity =
+      sparse ? static_cast<const SimilaritySource&>(bed.sparse) : bed.dense;
+  Matcher matcher(bed.universe, similarity);
   MatchOptions options;
   options.theta = 0.75;
 
@@ -102,7 +134,7 @@ void BM_MatchSubset(benchmark::State& state) {
   std::vector<std::vector<uint32_t>> subsets;
   for (int i = 0; i < 64; ++i) {
     std::vector<uint32_t> subset;
-    for (size_t p : rng.SampleWithoutReplacement(universe.size(), m)) {
+    for (size_t p : rng.SampleWithoutReplacement(bed.universe.size(), m)) {
       subset.push_back(static_cast<uint32_t>(p));
     }
     subsets.push_back(std::move(subset));
@@ -112,8 +144,20 @@ void BM_MatchSubset(benchmark::State& state) {
     auto result = matcher.Match(subsets[i++ % subsets.size()], options);
     benchmark::DoNotOptimize(result.ok());
   }
+  state.SetLabel(std::to_string(similarity.attribute_count()) +
+                 " attributes");
 }
-BENCHMARK(BM_MatchSubset)->Arg(10)->Arg(20)->Arg(50)
+
+void BM_MatchSubset(benchmark::State& state) { RunMatchSubset(state, false); }
+void BM_MatchSubsetSparse(benchmark::State& state) {
+  RunMatchSubset(state, true);
+}
+// Dense at |U| = 2000 holds ~12k attributes: a ~300 MB packed triangle.
+BENCHMARK(BM_MatchSubset)
+    ->Args({10, 200})->Args({20, 200})->Args({50, 200})->Args({20, 2000})
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_MatchSubsetSparse)
+    ->Args({10, 200})->Args({20, 200})->Args({50, 200})->Args({20, 2000})
     ->Unit(benchmark::kMicrosecond);
 
 void BM_PcsaAdd(benchmark::State& state) {

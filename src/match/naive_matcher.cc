@@ -44,19 +44,22 @@ NaiveMatchResult NaiveComponentsMatch(
 
   UnionFind uf(attrs.size());
   if (theta >= similarity.neighbor_floor()) {
-    // θ-neighbor enumeration: the edges are exactly the pairs ≥ theta, so
-    // the components match the exhaustive scan (up to candidate recall on
-    // a sparse index). Scales with stored pairs, not |attrs|².
-    constexpr size_t kNotInS = SIZE_MAX;
-    std::vector<size_t> local(similarity.attribute_count(), kNotInS);
-    for (size_t i = 0; i < attrs.size(); ++i) local[attrs[i]] = i;
-    for (size_t i = 0; i < attrs.size(); ++i) {
-      similarity.ForEachNeighborAtLeast(
-          attrs[i], theta, [&](size_t nbr, float sim) {
-            (void)sim;
-            const size_t j = local[nbr];
-            if (j != kNotInS && j != i) uf.Union(i, j);
-          });
+    // The θ-graph of S: its edges are exactly the pairs ≥ theta, so the
+    // components match the exhaustive scan (up to candidate recall on a
+    // sparse index). The source wants S's attributes ascending; `order`
+    // maps those sorted positions back to positions in `attrs`.
+    std::vector<uint32_t> order(attrs.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(),
+              [&](uint32_t a, uint32_t b) { return attrs[a] < attrs[b]; });
+    std::vector<uint32_t> sorted(attrs.size());
+    for (size_t p = 0; p < order.size(); ++p) {
+      sorted[p] = static_cast<uint32_t>(attrs[order[p]]);
+    }
+    std::vector<SimilaritySource::SubsetEdge> edges;
+    similarity.SubsetEdgesAtLeast(sorted, theta, edges);
+    for (const SimilaritySource::SubsetEdge& e : edges) {
+      uf.Union(order[e.from], order[e.to]);
     }
   } else {
     // Below the floor a sparse index cannot enumerate; exhaustive At() is

@@ -40,10 +40,11 @@ struct NaiveMatchResult {
   double quality = 0.0;
 };
 
-/// Clusters the attributes of `source_ids` into θ-similarity connected
-/// components. Works against any SimilaritySource: when theta ≥ the
-/// source's neighbor_floor() the edge scan enumerates stored θ-neighbors
-/// (sparse-index fast path); below the floor it falls back to exhaustive
+/// Clusters the attributes of `source_ids` (distinct ids) into
+/// θ-similarity connected components. Works against any SimilaritySource:
+/// when theta ≥ the source's neighbor_floor() the edges come from one
+/// SubsetEdgesAtLeast call over S's attributes, so the cost depends on S
+/// and not on the universe; below the floor it falls back to exhaustive
 /// At() pairs, which stays exact on every implementation.
 NaiveMatchResult NaiveComponentsMatch(const Universe& universe,
                                       const SimilaritySource& similarity,

@@ -55,6 +55,20 @@ void SimilarityMatrix::ForEachNeighborAtLeast(size_t i, double theta,
   }
 }
 
+void SimilarityMatrix::SubsetEdgesAtLeast(
+    const std::vector<uint32_t>& attrs, double theta,
+    std::vector<SubsetEdge>& edges) const {
+  // Row i's slots for j > i form one contiguous packed run, and attrs is
+  // ascending, so the inner loop only strides forward through that run.
+  for (uint32_t u = 0; u < attrs.size(); ++u) {
+    const size_t i = attrs[u];
+    for (uint32_t v = u + 1; v < attrs.size(); ++v) {
+      const float sim = values_[Offset(i, attrs[v])];
+      if (static_cast<double>(sim) >= theta) edges.push_back({u, v, sim});
+    }
+  }
+}
+
 void SimilarityMatrix::Recompute(const Universe& universe,
                                  const SimilarityMeasure& measure,
                                  const std::vector<bool>& dirty_attrs,

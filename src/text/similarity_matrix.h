@@ -101,6 +101,10 @@ class SimilarityMatrix : public SimilaritySource {
   /// any theta (the matrix holds every pair), hence a floor of 0.
   void ForEachNeighborAtLeast(size_t i, double theta,
                               const NeighborFn& fn) const override;
+  /// Reads each subset pair's packed slot once and emits the pair once, as
+  /// (u, v) with u < v.
+  void SubsetEdgesAtLeast(const std::vector<uint32_t>& attrs, double theta,
+                          std::vector<SubsetEdge>& edges) const override;
   double neighbor_floor() const override { return 0.0; }
 
   std::unique_ptr<SimilaritySource> CloneSource() const override {

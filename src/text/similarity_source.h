@@ -69,6 +69,35 @@ class SimilaritySource {
   virtual void ForEachNeighborAtLeast(size_t i, double theta,
                                       const NeighborFn& fn) const = 0;
 
+  /// One directed θ-edge inside an attribute subset, over *positions* in
+  /// the subset (not global indexes).
+  struct SubsetEdge {
+    uint32_t from;
+    uint32_t to;
+    float similarity;
+  };
+
+  /// The θ-graph of an attribute subset: appends to `edges` directed edges
+  /// (u, v, At(attrs[u], attrs[v])) with u != v and similarity >= theta.
+  /// `attrs` holds global attribute indexes in strictly ascending order.
+  /// Every such pair appears at least once, in one direction or both:
+  ///
+  ///  - dense: reads only the subset's k(k−1)/2 packed slots and emits each
+  ///    pair once, as u < v;
+  ///  - sparse: intersects each member's own stored row with the subset and
+  ///    emits (u, v) where v is in u's row — both directions for a pair
+  ///    stored symmetrically, one for a pair a max_neighbors cap dropped
+  ///    from one row.
+  ///
+  /// Callers must therefore treat the graph as undirected and tolerate a
+  /// pair twice. The cost depends on the subset, never on
+  /// attribute_count(). Like ForEachNeighborAtLeast it is complete only for
+  /// theta >= neighbor_floor(). The edge order is deterministic but
+  /// unspecified.
+  virtual void SubsetEdgesAtLeast(const std::vector<uint32_t>& attrs,
+                                  double theta,
+                                  std::vector<SubsetEdge>& edges) const = 0;
+
   /// Smallest theta for which neighbor enumeration is complete: 0 for the
   /// dense matrix, the build-time θ_index for the sparse index. Callers
   /// that enumerate (the Matcher) must reject thresholds below this.

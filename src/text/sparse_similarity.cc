@@ -22,6 +22,22 @@ uint64_t ComparablePairCount(const std::vector<uint32_t>& live_per_source,
   return live_total * (live_total - (live_total > 0 ? 1 : 0)) / 2 - same;
 }
 
+/// First position in the ascending range [first, last) not less than
+/// `value`, found by probing first+1, first+3, first+7, ... and then
+/// binary-searching the last gap: O(log distance), so a merge of two
+/// ascending lists built on it costs O(a + b) when they interleave and
+/// O(min · log max) when one is much shorter.
+template <typename It>
+It Gallop(It first, It last, uint32_t value) {
+  ptrdiff_t step = 1;
+  while (last - first > step && first[step] < value) {
+    first += step;
+    step *= 2;
+  }
+  return std::lower_bound(first, last - first > step ? first + step + 1 : last,
+                          value);
+}
+
 }  // namespace
 
 SparseSimilarityIndex::SparseSimilarityIndex(const Universe& universe,
@@ -68,6 +84,34 @@ void SparseSimilarityIndex::ForEachNeighborAtLeast(
   for (size_t k = begin; k < end; ++k) {
     const float sim = nbr_sim_[k];
     if (static_cast<double>(sim) >= theta) fn(nbr_attr_[k], sim);
+  }
+}
+
+void SparseSimilarityIndex::SubsetEdgesAtLeast(
+    const std::vector<uint32_t>& attrs, double theta,
+    std::vector<SubsetEdge>& edges) const {
+  const auto subset_begin = attrs.begin();
+  const auto subset_end = attrs.end();
+  const auto nbr_begin = nbr_attr_.begin();
+  for (uint32_t u = 0; u < attrs.size(); ++u) {
+    auto a = subset_begin;
+    auto r = nbr_begin + static_cast<ptrdiff_t>(row_offsets_[attrs[u]]);
+    const auto r_end =
+        nbr_begin + static_cast<ptrdiff_t>(row_offsets_[attrs[u] + 1]);
+    while (a != subset_end && r != r_end) {
+      if (*r < *a) {
+        r = Gallop(r + 1, r_end, *a);
+      } else if (*a < *r) {
+        a = Gallop(a + 1, subset_end, *r);
+      } else {
+        const float sim = nbr_sim_[static_cast<size_t>(r - nbr_begin)];
+        if (static_cast<double>(sim) >= theta) {
+          edges.push_back({u, static_cast<uint32_t>(a - subset_begin), sim});
+        }
+        ++a;
+        ++r;
+      }
+    }
   }
 }
 

@@ -157,6 +157,11 @@ class SparseSimilarityIndex : public SimilaritySource {
   void ForEachNeighborAtLeast(size_t i, double theta,
                               const NeighborFn& fn) const override;
 
+  /// Intersects each member's stored row with the subset (both ascending)
+  /// and emits edges from that member's own row only.
+  void SubsetEdgesAtLeast(const std::vector<uint32_t>& attrs, double theta,
+                          std::vector<SubsetEdge>& edges) const override;
+
   double neighbor_floor() const override { return options_.index_theta; }
 
   std::unique_ptr<SimilaritySource> CloneSource() const override {

@@ -1,19 +1,28 @@
 // Tests for src/match: Algorithm 1's constrained greedy similarity
 // clustering — validity guarantees, θ enforcement, the Figure 3 GA-
 // constraint bridging behaviour, source-constraint feasibility, the β
-// bound, and property sweeps over random universes.
+// bound, property sweeps over random universes, an exhaustive reference
+// oracle for Match(S), and a guard on how Match(S) reads the similarity
+// source.
 
+#include <algorithm>
+#include <bit>
+#include <map>
+#include <queue>
+#include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "datagen/generator.h"
 #include "match/matcher.h"
 #include "match/naive_matcher.h"
 #include "schema/universe.h"
 #include "text/similarity.h"
 #include "text/similarity_matrix.h"
+#include "text/sparse_similarity.h"
 
 namespace mube {
 namespace {
@@ -487,6 +496,360 @@ TEST_P(MatcherPropertyTest, RandomUniverseInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MatcherPropertyTest,
                          ::testing::Range<uint64_t>(1, 21));
+
+// ------------------------------------------------------ reference oracle --
+
+/// Algorithm 1 written the obvious way: every pass scores *every* live
+/// cluster pair through At(), keeps the pairs at or above θ in a std::map,
+/// and pops them from a std::priority_queue. Matcher::Match must agree with
+/// it field for field.
+///
+/// With `rows` set, only the attribute pairs listed there (in either
+/// direction) can nominate a cluster pair or count toward its max linkage —
+/// the semantics of a sparse index whose capped rows omit some pairs.
+struct RefCluster {
+  std::vector<size_t> attrs;      // global attribute indexes
+  std::vector<uint32_t> sources;  // sorted
+  bool keep = false;
+  bool merged = false;
+  bool merge_cand = false;
+  bool newly_merged = false;
+  bool alive = true;
+};
+
+struct RefEntry {
+  double similarity;
+  uint32_t c1;
+  uint32_t c2;
+  bool operator<(const RefEntry& o) const {
+    if (similarity != o.similarity) return similarity < o.similarity;
+    if (c1 != o.c1) return c1 > o.c1;
+    return c2 > o.c2;
+  }
+};
+
+double RefQuality(const SimilaritySource& sim, const RefCluster& c) {
+  double best = 0.0;
+  for (size_t i = 0; i < c.attrs.size(); ++i) {
+    for (size_t j = i + 1; j < c.attrs.size(); ++j) {
+      best = std::max(best, sim.At(c.attrs[i], c.attrs[j]));
+    }
+  }
+  return best;
+}
+
+MatchResult ReferenceMatch(const Universe& u, const SimilaritySource& sim,
+                           const std::vector<uint32_t>& s,
+                           const MatchOptions& options,
+                           const std::vector<uint32_t>& source_constraints,
+                           const MediatedSchema& ga_constraints,
+                           const std::set<std::pair<size_t, size_t>>* rows =
+                               nullptr) {
+  auto listed = [rows](size_t a, size_t b) {
+    return rows == nullptr || rows->count({a, b}) || rows->count({b, a});
+  };
+  std::vector<RefCluster> clusters;
+  std::vector<size_t> constrained;
+  for (const GlobalAttribute& g : ga_constraints.gas()) {
+    RefCluster c;
+    c.keep = true;
+    for (const AttributeRef& ref : g.members()) {
+      c.attrs.push_back(u.GlobalAttrIndex(ref));
+      c.sources.push_back(ref.source_id);
+      constrained.push_back(u.GlobalAttrIndex(ref));
+    }
+    std::sort(c.sources.begin(), c.sources.end());
+    clusters.push_back(c);
+  }
+  for (uint32_t sid : s) {
+    for (uint32_t a = 0; a < u.source(sid).attribute_count(); ++a) {
+      const size_t gidx = u.GlobalAttrIndex(AttributeRef(sid, a));
+      if (std::count(constrained.begin(), constrained.end(), gidx)) continue;
+      RefCluster c;
+      c.attrs = {gidx};
+      c.sources = {sid};
+      clusters.push_back(c);
+    }
+  }
+  std::vector<RefCluster> frozen;
+  bool done = false;
+  while (!done) {
+    done = true;
+    for (RefCluster& c : clusters) {
+      c.merged = c.merge_cand = c.newly_merged = false;
+    }
+    std::map<std::pair<uint32_t, uint32_t>, double> scored;
+    for (uint32_t i = 0; i < clusters.size(); ++i) {
+      for (uint32_t j = i + 1; j < clusters.size(); ++j) {
+        double sum = 0.0;
+        double best = 0.0;
+        bool nominated = false;
+        for (size_t a : clusters[i].attrs) {
+          for (size_t b : clusters[j].attrs) {
+            sum += sim.At(a, b);
+            if (!listed(a, b)) continue;
+            nominated = true;
+            best = std::max(best, sim.At(a, b));
+          }
+        }
+        if (!nominated) continue;
+        const double n = static_cast<double>(clusters[i].attrs.size() *
+                                              clusters[j].attrs.size());
+        scored[{i, j}] =
+            options.linkage == ClusterLinkage::kMax ? best : sum / n;
+      }
+    }
+    std::priority_queue<RefEntry> heap;
+    for (const auto& [pair, score] : scored) {
+      if (score >= options.theta) {
+        heap.push(RefEntry{score, pair.first, pair.second});
+      }
+    }
+    while (!heap.empty()) {
+      const RefEntry top = heap.top();
+      heap.pop();
+      RefCluster& c1 = clusters[top.c1];
+      RefCluster& c2 = clusters[top.c2];
+      if (!c1.merged && !c2.merged) {
+        std::vector<uint32_t> both;
+        std::set_intersection(c1.sources.begin(), c1.sources.end(),
+                              c2.sources.begin(), c2.sources.end(),
+                              std::back_inserter(both));
+        if (!both.empty()) continue;
+        RefCluster m;
+        m.keep = c1.keep || c2.keep;
+        m.newly_merged = true;
+        m.attrs = c1.attrs;
+        m.attrs.insert(m.attrs.end(), c2.attrs.begin(), c2.attrs.end());
+        std::merge(c1.sources.begin(), c1.sources.end(), c2.sources.begin(),
+                   c2.sources.end(), std::back_inserter(m.sources));
+        c1.merged = c2.merged = true;
+        c1.alive = c2.alive = false;
+        clusters.push_back(m);
+        done = false;
+      } else if (c1.merged != c2.merged) {
+        (c1.merged ? c2 : c1).merge_cand = true;
+        done = false;
+      }
+    }
+    std::vector<RefCluster> live;
+    for (RefCluster& c : clusters) {
+      if (!c.alive) continue;
+      if (!c.newly_merged && !c.merge_cand && !c.keep) {
+        if (c.attrs.size() >= 2) frozen.push_back(c);
+        continue;
+      }
+      live.push_back(c);
+    }
+    clusters = live;
+  }
+  for (const RefCluster& c : clusters) {
+    if (c.keep || c.attrs.size() >= 2) frozen.push_back(c);
+  }
+  MatchResult result;
+  for (const RefCluster& c : frozen) {
+    if (!c.keep && c.attrs.size() < std::max<size_t>(options.beta, 2)) {
+      continue;
+    }
+    std::vector<AttributeRef> members;
+    for (size_t gidx : c.attrs) members.push_back(u.RefFromGlobalIndex(gidx));
+    result.ga_quality.push_back(RefQuality(sim, c));
+    result.schema.Add(GlobalAttribute(std::move(members)));
+  }
+  if (!result.schema.IsValidOn(source_constraints)) return MatchResult{};
+  result.feasible = true;
+  if (!result.schema.empty()) {
+    double sum = 0.0;
+    for (double q : result.ga_quality) sum += q;
+    result.quality = sum / static_cast<double>(result.ga_quality.size());
+  }
+  return result;
+}
+
+void ExpectSameMatch(const MatchResult& got, const MatchResult& want) {
+  EXPECT_EQ(got.feasible, want.feasible);
+  EXPECT_EQ(got.schema, want.schema);
+  ASSERT_EQ(got.schema.size(), want.schema.size());
+  for (size_t g = 0; g < got.schema.size(); ++g) {
+    EXPECT_EQ(got.schema.ga(g).members(), want.schema.ga(g).members());
+  }
+  ASSERT_EQ(got.ga_quality.size(), want.ga_quality.size());
+  for (size_t g = 0; g < got.ga_quality.size(); ++g) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.ga_quality[g]),
+              std::bit_cast<uint64_t>(want.ga_quality[g]));
+  }
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.quality),
+            std::bit_cast<uint64_t>(want.quality));
+}
+
+class MatcherOracleTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(MatcherOracleTest, AgreesWithExhaustiveReferenceOnDenseAndSparse) {
+  const uint64_t seed = GetParam();
+  Rng rng(seed);
+  GeneratorConfig config;
+  config.seed = seed;
+  config.num_sources = 8 + rng.Uniform(23);
+  config.attach_tuples = false;
+  auto generated = GenerateUniverse(config);
+  ASSERT_TRUE(generated.ok());
+  Universe u = std::move(generated.ValueOrDie().universe);
+  // Some universes carry a retired source, whose pairs all score 0.
+  if (rng.Bernoulli(0.3)) {
+    u.RetireSource(static_cast<uint32_t>(rng.Uniform(u.size())));
+  }
+  NGramJaccard measure(3);
+  SimilarityMatrix dense(u, measure);
+  SparseSimilarityIndex sparse(u, measure);  // uncapped, floor 0.5
+  SparseIndexOptions capped_options;
+  capped_options.max_neighbors = 3;
+  SparseSimilarityIndex capped(u, measure, capped_options);
+
+  for (int trial = 0; trial < 4; ++trial) {
+    std::vector<uint32_t> s;
+    const size_t m = 2 + rng.Uniform(std::min<size_t>(u.size() - 1, 14));
+    for (size_t p : rng.SampleWithoutReplacement(u.size(), m)) {
+      s.push_back(static_cast<uint32_t>(p));
+    }
+    MatchOptions options;
+    options.theta = rng.UniformDouble(0.5, 0.95);
+    options.beta = 2 + rng.Uniform(2);
+    options.linkage = rng.Bernoulli(0.5) ? ClusterLinkage::kMax
+                                         : ClusterLinkage::kAverage;
+
+    // Up to two disjoint valid GA constraints over S, one attribute per
+    // chosen source; and up to three source constraints from S, which may
+    // be left uncovered (infeasible).
+    MediatedSchema g;
+    std::vector<bool> used(u.size(), false);
+    const size_t num_gas = rng.Uniform(3);
+    for (size_t k = 0; k < num_gas; ++k) {
+      std::vector<AttributeRef> members;
+      for (size_t p : rng.SampleWithoutReplacement(
+               s.size(), 1 + rng.Uniform(std::min<size_t>(s.size(), 3)))) {
+        const uint32_t sid = s[p];
+        const uint32_t count = u.source(sid).attribute_count();
+        if (used[sid] || count == 0) continue;
+        used[sid] = true;
+        members.emplace_back(sid,
+                             static_cast<uint32_t>(rng.Uniform(count)));
+      }
+      if (!members.empty()) g.Add(GlobalAttribute(std::move(members)));
+    }
+    std::vector<uint32_t> c;
+    for (size_t p : rng.SampleWithoutReplacement(
+             s.size(), rng.Uniform(std::min<size_t>(s.size(), 4)))) {
+      c.push_back(s[p]);
+    }
+
+    for (const SimilaritySource* sim :
+         std::vector<const SimilaritySource*>{&dense, &sparse}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " trial " +
+                   std::to_string(trial) +
+                   (sim == &dense ? " dense" : " sparse"));
+      Matcher matcher(u, *sim);
+      auto got = matcher.Match(s, options, c, g);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ExpectSameMatch(got.ValueOrDie(),
+                      ReferenceMatch(u, *sim, s, options, c, g));
+    }
+
+    // Capped rows list some pairs in one direction only, and drop others;
+    // Match must take each pair from whichever row holds it.
+    std::set<std::pair<size_t, size_t>> rows;
+    for (size_t i = 0; i < u.total_attribute_count(); ++i) {
+      capped.ForEachNeighborAtLeast(
+          i, options.theta, [&](size_t j, float) { rows.insert({i, j}); });
+    }
+    SCOPED_TRACE("seed " + std::to_string(seed) + " trial " +
+                 std::to_string(trial) + " capped");
+    auto got = Matcher(u, capped).Match(s, options, c, g);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ExpectSameMatch(got.ValueOrDie(),
+                    ReferenceMatch(u, capped, s, options, c, g, &rows));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MatcherOracleTest,
+                         ::testing::Range<uint64_t>(1, 49));
+
+// ----------------------------------------------- similarity access guard --
+
+/// Forwards to a real source, counting how Match reads it.
+class CountingSource : public SimilaritySource {
+ public:
+  explicit CountingSource(const SimilaritySource& inner) : inner_(inner) {}
+
+  double At(size_t i, size_t j) const override { return inner_.At(i, j); }
+  size_t attribute_count() const override {
+    return inner_.attribute_count();
+  }
+  double MaxSimilarityOf(size_t i) const override {
+    return inner_.MaxSimilarityOf(i);
+  }
+  void ForEachNeighborAtLeast(size_t i, double theta,
+                              const NeighborFn& fn) const override {
+    ++neighbor_calls;
+    inner_.ForEachNeighborAtLeast(i, theta, fn);
+  }
+  void SubsetEdgesAtLeast(const std::vector<uint32_t>& attrs, double theta,
+                          std::vector<SubsetEdge>& edges) const override {
+    subset_calls.push_back(attrs);
+    inner_.SubsetEdgesAtLeast(attrs, theta, edges);
+  }
+  double neighbor_floor() const override { return inner_.neighbor_floor(); }
+  void Rebuild(const Universe&, const SimilarityMeasure&,
+               unsigned) override {}
+  void ApplyChurn(const Universe&, const SimilarityMeasure&,
+                  const std::vector<uint32_t>&, unsigned) override {}
+  std::unique_ptr<SimilaritySource> CloneSource() const override {
+    return inner_.CloneSource();
+  }
+  size_t MemoryBytes() const override { return inner_.MemoryBytes(); }
+  size_t last_measure_calls() const override {
+    return inner_.last_measure_calls();
+  }
+
+  mutable size_t neighbor_calls = 0;
+  mutable std::vector<std::vector<uint32_t>> subset_calls;
+
+ private:
+  const SimilaritySource& inner_;
+};
+
+TEST(MatcherAccessTest, OneSubsetEnumerationAndNoRowScans) {
+  MatchFixture f({{"title", "price"},
+                  {"book title", "author"},
+                  {"title", "isbn"},
+                  {"author name"},
+                  {"titles", "price range", "year"}});
+  CountingSource counting(f.matrix);
+  Matcher matcher(f.universe, counting);
+  // S out of order, with a GA constraint and a source constraint, so every
+  // code path of Match runs.
+  MediatedSchema g;
+  g.Add(GlobalAttribute({AttributeRef(1, 1), AttributeRef(3, 0)}));
+  auto result = matcher.Match({4, 1, 0, 3}, Options(0.6), {1}, g);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result.ValueOrDie().feasible);
+  EXPECT_EQ(counting.neighbor_calls, 0u);
+  ASSERT_EQ(counting.subset_calls.size(), 1u);
+  std::vector<uint32_t> want;
+  for (uint32_t sid : {0u, 1u, 3u, 4u}) {
+    for (uint32_t a = 0; a < f.universe.source(sid).attribute_count(); ++a) {
+      want.push_back(static_cast<uint32_t>(
+          f.universe.GlobalAttrIndex(AttributeRef(sid, a))));
+    }
+  }
+  EXPECT_EQ(counting.subset_calls[0], want);
+
+  // The naive baseline reads the source the same way.
+  counting.subset_calls.clear();
+  NaiveComponentsMatch(f.universe, counting, {4, 1, 0, 3}, 0.6);
+  EXPECT_EQ(counting.neighbor_calls, 0u);
+  ASSERT_EQ(counting.subset_calls.size(), 1u);
+  EXPECT_EQ(counting.subset_calls[0], want);
+}
 
 }  // namespace
 }  // namespace mube

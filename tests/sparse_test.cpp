@@ -6,10 +6,14 @@
 // consumer (Matcher, naive matcher, Mube engine) produces identical output
 // on either implementation.
 
+#include <algorithm>
 #include <cstring>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
+
+#include "common/random.h"
 
 #include "core/mube.h"
 #include "datagen/generator.h"
@@ -75,6 +79,74 @@ TEST(SparseSimilarityTest, NeighborRowsMatchDenseScanAtMatcherTheta) {
     for (size_t i = 0; i < u.total_attribute_count(); ++i) {
       ASSERT_EQ(Row(sparse, i, theta), Row(dense, i, theta))
           << "theta " << theta << " row " << i;
+    }
+  }
+}
+
+/// The subset graph as a sorted list of (global from, global to, float
+/// bits), for comparing SubsetEdgesAtLeast with per-row enumeration.
+using EdgeList = std::vector<std::tuple<uint32_t, uint32_t, uint32_t>>;
+
+EdgeList SubsetGraph(const SimilaritySource& sim,
+                     const std::vector<uint32_t>& attrs, double theta) {
+  std::vector<SimilaritySource::SubsetEdge> edges;
+  sim.SubsetEdgesAtLeast(attrs, theta, edges);
+  EdgeList out;
+  for (const SimilaritySource::SubsetEdge& e : edges) {
+    uint32_t bits;
+    std::memcpy(&bits, &e.similarity, sizeof(bits));
+    out.emplace_back(attrs[e.from], attrs[e.to], bits);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// What a subset graph must hold when every attribute's row is read from
+/// its own side: (i, j) for each i in the subset and each row neighbor j
+/// of i inside the subset; with `one_direction`, only i < j.
+EdgeList RowsInsideSubset(const SimilaritySource& sim,
+                          const std::vector<uint32_t>& attrs, double theta,
+                          bool one_direction) {
+  EdgeList out;
+  for (uint32_t i : attrs) {
+    for (const auto& [j, bits] : Row(sim, i, theta)) {
+      if (one_direction && j < i) continue;
+      if (std::binary_search(attrs.begin(), attrs.end(), j)) {
+        out.emplace_back(i, j, bits);
+      }
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(SparseSimilarityTest, SubsetEdgesAreTheRowsInsideTheSubset) {
+  const Universe u = BooksUniverse(60);
+  NGramJaccard measure(3);
+  SimilarityMatrix dense(u, measure);
+  SparseSimilarityIndex sparse(u, measure);
+  // Capped rows are asymmetric: a pair may survive in one row only.
+  SparseIndexOptions capped_options;
+  capped_options.max_neighbors = 2;
+  SparseSimilarityIndex capped(u, measure, capped_options);
+
+  Rng rng(11);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<uint32_t> attrs;
+    for (size_t p : rng.SampleWithoutReplacement(u.total_attribute_count(),
+                                                 5 + rng.Uniform(60))) {
+      attrs.push_back(static_cast<uint32_t>(p));
+    }
+    std::sort(attrs.begin(), attrs.end());
+    for (double theta : {0.5, 0.75, 0.9}) {
+      // Dense: each pair once, as (smaller, larger).
+      EXPECT_EQ(SubsetGraph(dense, attrs, theta),
+                RowsInsideSubset(dense, attrs, theta, true));
+      // Sparse: each member's own row, so both directions when uncapped.
+      EXPECT_EQ(SubsetGraph(sparse, attrs, theta),
+                RowsInsideSubset(sparse, attrs, theta, false));
+      EXPECT_EQ(SubsetGraph(capped, attrs, theta),
+                RowsInsideSubset(capped, attrs, theta, false));
     }
   }
 }
