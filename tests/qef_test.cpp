@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -263,6 +265,35 @@ TEST(CharacteristicQefTest, InvertFlipsOrientation) {
   EXPECT_NEAR(straight.Evaluate({2}) + inverted.Evaluate({2}), 1.0, 1e-12);
   EXPECT_EQ(straight.name(), "mttf:wsum");
   EXPECT_EQ(inverted.name(), "mttf:wsum:inverted");
+}
+
+TEST(CharacteristicQefTest, RetiredSourcesDoNotStretchTheRange) {
+  // The range is over U, and a retired source is not in U: retiring the
+  // source that holds the maximum must score live subsets exactly as a
+  // universe that never had it.
+  Universe with_peak = CharacteristicUniverse();
+  Source peak(0, "peak");
+  peak.AddAttribute(Attribute("x"));
+  peak.set_cardinality(1000);
+  peak.characteristics().Set("mttf", 400.0);
+  with_peak.RetireSource(with_peak.AddSource(std::move(peak)));
+  const Universe without = CharacteristicUniverse();
+
+  const auto range = internal::CharacteristicRange(with_peak, "mttf");
+  EXPECT_EQ(range, internal::CharacteristicRange(without, "mttf"));
+  EXPECT_EQ(range, std::make_pair(50.0, 150.0));
+
+  CharacteristicQef retired_qef(with_peak, "mttf",
+                                std::make_unique<WeightedSumAggregator>());
+  CharacteristicQef plain_qef(without, "mttf",
+                              std::make_unique<WeightedSumAggregator>());
+  for (const std::vector<uint32_t>& s :
+       std::vector<std::vector<uint32_t>>{{0, 2}, {1}, {0, 1, 2, 3}}) {
+    EXPECT_EQ(retired_qef.Evaluate(s), plain_qef.Evaluate(s));
+    EXPECT_EQ(MeanAggregator().Aggregate(with_peak, s, "mttf"),
+              MeanAggregator().Aggregate(without, s, "mttf"));
+  }
+  EXPECT_NEAR(retired_qef.Evaluate({0, 2}), 2.0 / 3.0, 1e-12);
 }
 
 // ------------------------------------------------------------- health QEF --
