@@ -190,9 +190,7 @@ Result<MatchResult> Matcher::Match(
   };
 
   // One enumeration of the pairs >= θ inside S, as symmetric CSR adjacency:
-  // each edge is filed under both endpoints, so a pair the source lists in
-  // one direction only (a capped sparse row) is still seen from either side,
-  // and a pair listed in both directions merely appears twice.
+  // the source lists each pair once, and it is filed under both endpoints.
   std::vector<SimilaritySource::SubsetEdge> edges;
   similarity_.SubsetEdgesAtLeast(local.global, options.theta, edges);
   std::vector<uint32_t> adj_offsets(k + 1, 0);
