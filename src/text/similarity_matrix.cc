@@ -76,7 +76,6 @@ void SimilarityMatrix::Recompute(const Universe& universe,
                                  size_t old_n, unsigned threads) {
   n_ = universe.total_attribute_count();
   values_.assign(n_ * (n_ - 1) / 2, 0.0f);
-  row_max_.assign(n_, 0.0f);
 
   // Resolve every global index to (source, liveness, normalized name) once.
   std::vector<uint32_t> source_of(n_);
@@ -124,11 +123,7 @@ void SimilarityMatrix::Recompute(const Universe& universe,
   };
 
   // Worker `t` fills rows t, t+T, t+2T, ... — row i owns the disjoint
-  // packed range {Offset(i, j) : j > i}, so writes never collide. Row
-  // maxima are reduced per worker and merged afterwards (row_max_[j] for
-  // j > i would otherwise be written by several workers).
-  std::vector<std::vector<float>> partial_max(
-      threads, std::vector<float>(n_, 0.0f));
+  // packed range {Offset(i, j) : j > i}, so writes never collide.
   std::vector<size_t> partial_calls(threads, 0);
 
   // Column tiling: on the bitset path the inner loop streams row j's words,
@@ -138,14 +133,12 @@ void SimilarityMatrix::Recompute(const Universe& universe,
   // per-tile bookkeeping negligible. The non-bitset path uses one
   // full-width tile — byte-for-byte the original traversal order. Tiling
   // cannot affect results regardless: each (i, j) pair is visited exactly
-  // once, its packed slot is written by exactly one worker, and the
-  // row-max float reduction is order-independent (max, not sum).
+  // once and its packed slot is written by exactly one worker.
   const size_t tile_cols =
       bitsets ? std::max<size_t>(64, (size_t{256} << 10) / (bitsets->words() * 8))
               : n_;
 
   auto worker = [&](size_t t) {
-    std::vector<float>& my_max = partial_max[t];
     size_t my_calls = 0;
     auto eval_pair = [&](size_t i, size_t j) {
       if (source_of[i] == source_of[j]) return;  // never comparable
@@ -165,8 +158,6 @@ void SimilarityMatrix::Recompute(const Universe& universe,
         ++my_calls;
       }
       values_[Offset(i, j)] = sim;
-      my_max[i] = std::max(my_max[i], sim);
-      my_max[j] = std::max(my_max[j], sim);
     };
     for (size_t jb = 0; jb < n_; jb += tile_cols) {
       const size_t jb_end = std::min(n_, jb + tile_cols);
@@ -180,20 +171,15 @@ void SimilarityMatrix::Recompute(const Universe& universe,
     partial_calls[t] = my_calls;
   };
 
-  // Stride t is one ParallelFor task; task t writes only partial_max[t],
-  // partial_calls[t], and row i's disjoint packed range, so the schedule
-  // cannot affect a single byte of the result. threads==1 runs the pool's
-  // inline serial path. All reductions below happen in fixed index order.
+  // Stride t is one ParallelFor task; task t writes only partial_calls[t]
+  // and row i's disjoint packed range, so the schedule cannot affect a
+  // single byte of the result. threads==1 runs the pool's inline serial
+  // path. The reduction below happens in fixed index order.
   ThreadPool pool(threads);
   pool.ParallelFor(threads, worker);
 
   last_measure_calls_ = 0;
   for (size_t calls : partial_calls) last_measure_calls_ += calls;
-  for (const std::vector<float>& my_max : partial_max) {
-    for (size_t i = 0; i < n_; ++i) {
-      row_max_[i] = std::max(row_max_[i], my_max[i]);
-    }
-  }
 }
 
 }  // namespace mube

@@ -29,7 +29,7 @@
 /// contain two of them), so their entries are fixed at 0. Attributes of
 /// retired sources (see Universe::RetireSource) are likewise fixed at 0 —
 /// they keep their rows so live attribute indexes never shift, but must
-/// not attract merges or inflate pruning bounds.
+/// not attract merges.
 ///
 /// Under source churn the matrix is maintained *incrementally*: only pairs
 /// touching a changed source are re-evaluated with the measure; all other
@@ -92,11 +92,6 @@ class SimilarityMatrix : public SimilaritySource {
 
   size_t attribute_count() const override { return n_; }
 
-  /// Largest similarity between attribute i and *any* other attribute.
-  /// Algorithm 1 prunes clusters whose best similarity is below θ; this
-  /// per-attribute bound lets the pruning happen before clustering starts.
-  double MaxSimilarityOf(size_t i) const override { return row_max_[i]; }
-
   /// Full-row scan: every j with At(i, j) >= theta, ascending. Complete at
   /// any theta (the matrix holds every pair), hence a floor of 0.
   void ForEachNeighborAtLeast(size_t i, double theta,
@@ -112,8 +107,7 @@ class SimilarityMatrix : public SimilaritySource {
   }
 
   size_t MemoryBytes() const override {
-    return values_.capacity() * sizeof(float) +
-           row_max_.capacity() * sizeof(float);
+    return values_.capacity() * sizeof(float);
   }
 
   /// Measure evaluations performed by the last (re)build or churn
@@ -137,7 +131,6 @@ class SimilarityMatrix : public SimilaritySource {
 
   size_t n_ = 0;
   std::vector<float> values_;
-  std::vector<float> row_max_;
   size_t last_measure_calls_ = 0;
 };
 

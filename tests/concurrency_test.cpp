@@ -391,7 +391,6 @@ TEST(SimilarityMatrixDeterminismTest, ThreadCountNeverChangesTheMatrix) {
   ASSERT_EQ(serial.attribute_count(), parallel.attribute_count());
   const size_t n = serial.attribute_count();
   for (size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(serial.MaxSimilarityOf(i), parallel.MaxSimilarityOf(i));
     for (size_t j = 0; j < n; ++j) {
       EXPECT_EQ(serial.At(i, j), parallel.At(i, j));
     }

@@ -4,6 +4,7 @@
 // re-optimization, and staleness errors for constraints that outlive their
 // sources.
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -398,8 +399,6 @@ TEST(IncrementalSimilarityTest, ChurnEqualsRebuildBitwise) {
   ASSERT_EQ(incremental.attribute_count(), rebuilt.attribute_count());
   const size_t n = rebuilt.attribute_count();
   for (size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(incremental.MaxSimilarityOf(i), rebuilt.MaxSimilarityOf(i))
-        << "row_max " << i;
     for (size_t j = i + 1; j < n; ++j) {
       ASSERT_EQ(incremental.At(i, j), rebuilt.At(i, j))
           << "pair (" << i << ", " << j << ")";
@@ -440,7 +439,11 @@ TEST(IncrementalSimilarityTest, RetiredAttributesGoQuiet) {
   SimilarityMatrix matrix(du.universe(), *measure);
 
   const size_t dead_attr = du.universe().GlobalAttrIndex(AttributeRef(0, 0));
-  EXPECT_GT(matrix.MaxSimilarityOf(dead_attr), 0.0);  // "title" matches
+  double best = 0.0;
+  for (size_t j = 0; j < matrix.attribute_count(); ++j) {
+    best = std::max(best, matrix.At(dead_attr, j));
+  }
+  EXPECT_GT(best, 0.0);  // "title" matches
 
   ChurnDelta delta;
   ASSERT_TRUE(du.Apply(ChurnEvent::RemoveSource("alpha.com"), &delta).ok());
@@ -449,7 +452,6 @@ TEST(IncrementalSimilarityTest, RetiredAttributesGoQuiet) {
   for (size_t j = 0; j < matrix.attribute_count(); ++j) {
     EXPECT_EQ(matrix.At(dead_attr, j), 0.0);
   }
-  EXPECT_EQ(matrix.MaxSimilarityOf(dead_attr), 0.0);
 }
 
 // ----------------------------------------- incremental signature equality --
