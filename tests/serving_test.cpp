@@ -303,6 +303,65 @@ TEST(SnapshotManagerTest, ConcurrentReadersAcrossChurn) {
   EXPECT_GT(cross_checked, 0u);
 }
 
+/// Engine metrics across forks and publishes, on both similarity stores.
+class SimilarityMetricsTest : public ::testing::TestWithParam<const char*> {
+ protected:
+  MubeConfig Config() const {
+    MubeConfig config = FastConfig();
+    config.similarity_index = GetParam();
+    return config;
+  }
+};
+
+TEST_P(SimilarityMetricsTest, ForksCreditNothing) {
+  const Universe universe = SmallUniverse();
+  MetricsRegistry registry;
+  std::unique_ptr<Mube> engine = Mube::Create(&universe, Config()).ValueOrDie();
+  engine->AttachMetrics(&registry);
+  // Attaching credits the initial build, once.
+  ASSERT_GT(engine->similarity().last_measure_calls(), 0u);
+  EXPECT_EQ(registry.GetCounter("mube_measure_calls_total")->Value(),
+            engine->similarity().last_measure_calls());
+  EXPECT_EQ(
+      registry.GetCounter("mube_similarity_candidate_pairs_total")->Value(),
+      engine->similarity().last_candidate_pairs());
+
+  const std::string before = registry.Expose();
+  std::vector<std::unique_ptr<Mube>> forks;
+  for (int i = 0; i < 3; ++i) {
+    forks.push_back(engine->Fork(&universe).ValueOrDie());
+  }
+  EXPECT_EQ(registry.Expose(), before);
+}
+
+TEST_P(SimilarityMetricsTest, PublishCreditsItsChurnOnce) {
+  MetricsRegistry registry;
+  std::unique_ptr<SnapshotManager> manager =
+      SnapshotManager::Create(SmallUniverse(), Config(), &registry)
+          .ValueOrDie();
+  Counter* measure_calls = registry.GetCounter("mube_measure_calls_total");
+  Counter* candidates =
+      registry.GetCounter("mube_similarity_candidate_pairs_total");
+  Counter* pruned = registry.GetCounter("mube_similarity_pruned_pairs_total");
+  const uint64_t calls_before = measure_calls->Value();
+  const uint64_t candidates_before = candidates->Value();
+  const uint64_t pruned_before = pruned->Value();
+
+  const Universe initial = manager->Acquire().universe().Clone();
+  ASSERT_TRUE(manager->ApplyChurn(MixedBatch(initial)).ok());
+  SnapshotManager::Lease lease = manager->Acquire();
+  const SimilaritySource& churned = lease.engine().similarity();
+  ASSERT_GT(churned.last_measure_calls(), 0u);
+  EXPECT_EQ(measure_calls->Value() - calls_before,
+            churned.last_measure_calls());
+  EXPECT_EQ(candidates->Value() - candidates_before,
+            churned.last_candidate_pairs());
+  EXPECT_EQ(pruned->Value() - pruned_before, churned.last_pruned_pairs());
+}
+
+INSTANTIATE_TEST_SUITE_P(Stores, SimilarityMetricsTest,
+                         ::testing::Values("dense", "sparse"));
+
 // ----------------------------------------------------------------- Tenant --
 
 TEST(TenantTest, ValidatesConstraintEditsLikeSession) {
