@@ -72,8 +72,8 @@ struct MubeConfig {
   /// it the dense matrix is small (≤ ~32 MB) and exact at any θ; above it
   /// the quadratic build starts to dominate engine construction.
   size_t sparse_attr_threshold = 4096;
-  /// Sparse-index tuning (θ_index, LSH geometry, pruning caps) when the
-  /// sparse implementation is selected. Note sparse_options.index_theta
+  /// Sparse-index storage threshold θ_index when the sparse
+  /// implementation is selected. Note sparse_options.index_theta
   /// must be ≤ every matcher θ the engine will run, or Match() rejects
   /// the run (see SimilaritySource::neighbor_floor).
   SparseIndexOptions sparse_options;
