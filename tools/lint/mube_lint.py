@@ -39,6 +39,9 @@ header-guard      Headers use #ifndef MUBE_<PATH>_H_ guards (no #pragma
 include-order     A .cc file's first include is its own header, so every
                   header is verified self-contained by its own translation
                   unit.
+downcast          dynamic_cast is banned under src/: program against the
+                  interface. A caller that needs a backend's facts gets
+                  them through a virtual on the interface it holds.
 det-iteration     Iterating (range-for) or folding (std::accumulate &
                   friends) over std::unordered_map/unordered_set is banned:
                   hash order is not part of the contract and feeds reports,
@@ -537,6 +540,20 @@ class IncludeOrderRule(Analyzer):
                      f'own header "{own}" must be the first include')
 
 
+class DowncastRule(Analyzer):
+    name = "downcast"
+
+    DYNAMIC_CAST_RE = re.compile(r"\bdynamic_cast\s*<")
+
+    def check_file(self, sf):
+        if not sf.in_src:
+            return
+        for idx, line in enumerate(sf.code, start=1):
+            if self.DYNAMIC_CAST_RE.search(line):
+                self.add(sf, idx, "dynamic_cast: program against the "
+                         "interface (add a virtual to it instead)")
+
+
 # --- determinism rules -----------------------------------------------------
 
 _UNORDERED_DECL_RE = re.compile(r"\bunordered_(map|set)\s*<")
@@ -877,6 +894,7 @@ ANALYZERS = [
     RandomnessRule,
     RawSyncRule,
     NakedNewRule,
+    DowncastRule,
     HeaderGuardRule,
     IncludeOrderRule,
     DetIterationRule,
