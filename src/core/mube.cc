@@ -80,10 +80,11 @@ Result<std::unique_ptr<Mube>> Mube::Fork(const Universe* universe) const {
   // a tfidf fork a measure of its own. Sharing keeps the sparse clone's
   // At() fallback pointing at a live measure however long the parent lives.
   fork->measure_ = measure_;
-  // The expensive derived state is copied, not recomputed: the similarity
-  // store is flat buffers either way (dense triangle or sparse CSR), the
-  // signature cache deep-copies its sketches. This is what makes epoch
-  // forking affordable at serving rates.
+  // The expensive derived state is copied, not recomputed: the dense
+  // similarity triangle is one flat buffer, the sparse index shares its
+  // immutable buffers with the parent (a churn of the fork writes new ones
+  // beside them), and the signature cache deep-copies its sketches. This
+  // is what makes epoch forking affordable at serving rates.
   fork->similarity_ = similarity_->CloneSource();
   fork->signatures_ = signatures_->Clone();
   fork->matcher_ = std::make_unique<Matcher>(*universe, *fork->similarity_);

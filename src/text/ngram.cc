@@ -45,8 +45,8 @@ std::vector<std::string> WordTokens(std::string_view text) {
   return tokens;
 }
 
-size_t LinearIntersectionSize(const std::vector<uint64_t>& a,
-                              const std::vector<uint64_t>& b) {
+size_t LinearIntersectionSize(std::span<const uint64_t> a,
+                              std::span<const uint64_t> b) {
   size_t count = 0;
   auto ia = a.begin();
   auto ib = b.begin();
@@ -64,10 +64,10 @@ size_t LinearIntersectionSize(const std::vector<uint64_t>& a,
   return count;
 }
 
-size_t GallopingIntersectionSize(const std::vector<uint64_t>& a,
-                                 const std::vector<uint64_t>& b) {
-  const std::vector<uint64_t>& small = a.size() <= b.size() ? a : b;
-  const std::vector<uint64_t>& large = a.size() <= b.size() ? b : a;
+size_t GallopingIntersectionSize(std::span<const uint64_t> a,
+                                 std::span<const uint64_t> b) {
+  const std::span<const uint64_t> small = a.size() <= b.size() ? a : b;
+  const std::span<const uint64_t> large = a.size() <= b.size() ? b : a;
   size_t count = 0;
   auto pos = large.begin();  // Both sides ascend, so the scan never backs up.
   for (uint64_t needle : small) {
@@ -93,8 +93,8 @@ size_t GallopingIntersectionSize(const std::vector<uint64_t>& a,
   return count;
 }
 
-size_t SortedIntersectionSize(const std::vector<uint64_t>& a,
-                              const std::vector<uint64_t>& b) {
+size_t SortedIntersectionSize(std::span<const uint64_t> a,
+                              std::span<const uint64_t> b) {
   const size_t small = std::min(a.size(), b.size());
   const size_t large = std::max(a.size(), b.size());
   // Gallop only under strong skew: the linear merge does `small + large`

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,20 +40,25 @@ std::vector<std::string> WordTokens(std::string_view text);
 /// large side element-by-element costs O(|large|) while galloping costs
 /// O(|small|·log|large|), which wins decisively for the skewed pairs a long
 /// attribute name vs. a short one produces.
-size_t SortedIntersectionSize(const std::vector<uint64_t>& a,
-                              const std::vector<uint64_t>& b);
+size_t SortedIntersectionSize(std::span<const uint64_t> a,
+                              std::span<const uint64_t> b);
+inline size_t SortedIntersectionSize(const std::vector<uint64_t>& a,
+                                     const std::vector<uint64_t>& b) {
+  return SortedIntersectionSize(std::span<const uint64_t>(a),
+                                std::span<const uint64_t>(b));
+}
 
 /// \brief Plain linear-merge |a ∩ b| (no size dispatch). Retained as the
 /// differential-testing baseline for the galloping path.
-size_t LinearIntersectionSize(const std::vector<uint64_t>& a,
-                              const std::vector<uint64_t>& b);
+size_t LinearIntersectionSize(std::span<const uint64_t> a,
+                              std::span<const uint64_t> b);
 
 /// \brief Galloping |a ∩ b|: for each element of the smaller vector, finds
 /// its lower bound in the larger one by doubling steps from the previous
 /// position. Correct for any sorted, deduplicated inputs; profitable only
 /// for skewed sizes (SortedIntersectionSize makes that call).
-size_t GallopingIntersectionSize(const std::vector<uint64_t>& a,
-                                 const std::vector<uint64_t>& b);
+size_t GallopingIntersectionSize(std::span<const uint64_t> a,
+                                 std::span<const uint64_t> b);
 
 /// \brief Registered-gram bitsets: the corpus-wide dense-id dictionary plus
 /// one fixed-width bitset per input gram set, built once per

@@ -106,12 +106,16 @@ class SimilaritySource {
                           const std::vector<uint32_t>& dirty_sources,
                           unsigned threads = 1) = 0;
 
-  /// Deep copy — the copy-on-write step of epoch forking (Mube::Fork):
-  /// flat-buffer copies, never a recomputation.
+  /// An independent copy — the copy-on-write step of epoch forking
+  /// (Mube::Fork), never a recomputation. A later mutation of either copy
+  /// leaves the other unchanged. The dense matrix copies its flat buffer;
+  /// the sparse index copies pointers to immutable buffers both copies
+  /// share, so its clone costs O(1) whatever the index size.
   virtual std::unique_ptr<SimilaritySource> CloneSource() const = 0;
 
-  /// Heap bytes held by the derived structures (the scaling benches and
-  /// the serving metrics gauge read this).
+  /// Heap bytes of the derived structures this copy references (the
+  /// scaling benches and the serving metrics gauge read this). Buffers
+  /// shared with clones count in full in each copy.
   virtual size_t MemoryBytes() const = 0;
 
   /// Measure evaluations performed by the last (re)build or churn
