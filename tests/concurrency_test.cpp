@@ -9,14 +9,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/threading.h"
+#include "datagen/generator.h"
 #include "match/matcher.h"
 #include "opt/optimizer.h"
 #include "opt/problem.h"
@@ -27,6 +30,7 @@
 #include "sketch/signature_cache.h"
 #include "text/similarity.h"
 #include "text/similarity_matrix.h"
+#include "text/sparse_similarity.h"
 
 namespace mube {
 namespace {
@@ -394,6 +398,69 @@ TEST(SimilarityMatrixDeterminismTest, ThreadCountNeverChangesTheMatrix) {
     for (size_t j = 0; j < n; ++j) {
       EXPECT_EQ(serial.At(i, j), parallel.At(i, j));
     }
+  }
+}
+
+/// Every stored row of `index` as (partner, float bits), and its tallies.
+struct SparseSnapshot {
+  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> rows;
+  uint64_t candidate_pairs;
+  uint64_t pruned_pairs;
+  uint64_t stored_pairs;
+  uint64_t dead_entries;
+  size_t measure_calls;
+
+  explicit SparseSnapshot(const SparseSimilarityIndex& index)
+      : candidate_pairs(index.stats().candidate_pairs),
+        pruned_pairs(index.stats().pruned_pairs),
+        stored_pairs(index.stats().stored_pairs),
+        dead_entries(index.stats().dead_entries),
+        measure_calls(index.last_measure_calls()) {
+    for (size_t i = 0; i < index.attribute_count(); ++i) {
+      rows.emplace_back();
+      index.ForEachNeighborAtLeast(
+          i, index.neighbor_floor(), [&](size_t j, float sim) {
+            uint32_t bits;
+            std::memcpy(&bits, &sim, sizeof(bits));
+            rows.back().emplace_back(static_cast<uint32_t>(j), bits);
+          });
+    }
+  }
+
+  bool operator==(const SparseSnapshot&) const = default;
+};
+
+TEST(SparseSimilarityDeterminismTest, ThreadCountNeverChangesTheIndex) {
+  // Workers verify disjoint rows into their own buffers and write disjoint
+  // rows of the new segment; the build and a churn splice must come out
+  // bit-identical at any thread count, tallies included.
+  GeneratorConfig gen;
+  gen.num_sources = 80;
+  gen.attach_tuples = false;
+  const Universe base = std::move(GenerateUniverse(gen).ValueOrDie().universe);
+  gen.seed = 9;
+  const Universe extra = std::move(GenerateUniverse(gen).ValueOrDie().universe);
+  NGramJaccard measure(3);
+
+  std::vector<std::pair<SparseSnapshot, SparseSnapshot>> outcomes;
+  for (unsigned threads : {1u, 2u, 4u}) {
+    Universe u = base.Clone();
+    SparseSimilarityIndex index(u, measure, SparseIndexOptions(), threads);
+    const SparseSnapshot built(index);
+    u.RetireSource(4);
+    u.RetireSource(31);
+    ASSERT_TRUE(u.mutable_source(12).RenameAttribute(0, "Book Title").ok());
+    std::vector<uint32_t> dirty = {4, 31, 12};
+    dirty.push_back(u.AddSource(extra.source(7)));
+    dirty.push_back(u.AddSource(extra.source(8)));
+    index.ApplyChurn(u, measure, dirty, threads);
+    outcomes.emplace_back(built, SparseSnapshot(index));
+  }
+  EXPECT_GT(outcomes[0].second.measure_calls, 0u);
+  for (size_t k = 1; k < outcomes.size(); ++k) {
+    EXPECT_TRUE(outcomes[k].first == outcomes[0].first) << "build, run " << k;
+    EXPECT_TRUE(outcomes[k].second == outcomes[0].second)
+        << "churn, run " << k;
   }
 }
 

@@ -210,19 +210,24 @@ TEST(SnapshotManagerTest, ForkedEpochMatchesFreshRebuild) {
   }
 }
 
+/// Readers of both similarity stores.
+class SnapshotReadersTest : public ::testing::TestWithParam<const char*> {};
+
 /// The TSan target: readers Run() against pinned epochs while a writer
 /// clones, churns, reconciles, and publishes new ones. No reader ever
 /// blocks on the writer; every superseded epoch is reclaimed once its
-/// last reader unpins; fixed seeds stay deterministic per epoch.
-TEST(SnapshotManagerTest, ConcurrentReadersAcrossChurn) {
+/// last reader unpins — on the sparse store, while newer epochs still
+/// share its index buffers; fixed seeds stay deterministic per epoch.
+TEST_P(SnapshotReadersTest, ConcurrentReadersAcrossChurn) {
   GeneratedUniverse gen = GenerateUniverse(SmallGen(23)).ValueOrDie();
   std::vector<std::string> names;
   for (uint32_t sid = 0; sid < gen.universe.size(); ++sid) {
     names.push_back(gen.universe.source(sid).name());
   }
+  MubeConfig config = FastConfig();
+  config.similarity_index = GetParam();
   std::unique_ptr<SnapshotManager> manager =
-      SnapshotManager::Create(gen.universe, FastConfig(), nullptr)
-          .ValueOrDie();
+      SnapshotManager::Create(gen.universe, config, nullptr).ValueOrDie();
 
   constexpr int kReaders = 4;
   constexpr int kRunsPerReader = 5;
@@ -302,6 +307,9 @@ TEST(SnapshotManagerTest, ConcurrentReadersAcrossChurn) {
   // With 4 readers sharing 5 seeds, collisions are guaranteed.
   EXPECT_GT(cross_checked, 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(Stores, SnapshotReadersTest,
+                         ::testing::Values("dense", "sparse"));
 
 /// Engine metrics across forks and publishes, on both similarity stores.
 class SimilarityMetricsTest : public ::testing::TestWithParam<const char*> {

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -18,6 +19,8 @@
 #include "core/mube.h"
 #include "datagen/generator.h"
 #include "datagen/scale.h"
+#include "dynamic/churn.h"
+#include "dynamic/delta_universe.h"
 #include "gtest/gtest.h"
 #include "match/matcher.h"
 #include "match/naive_matcher.h"
@@ -40,6 +43,16 @@ std::vector<std::pair<uint32_t, uint32_t>> Row(const SimilaritySource& sim,
     row.emplace_back(static_cast<uint32_t>(j), bits);
   });
   return row;
+}
+
+/// Every row of `sim` at its floor, for whole-index comparisons.
+std::vector<std::vector<std::pair<uint32_t, uint32_t>>> AllRows(
+    const SimilaritySource& sim) {
+  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> rows;
+  for (size_t i = 0; i < sim.attribute_count(); ++i) {
+    rows.push_back(Row(sim, i, sim.neighbor_floor()));
+  }
+  return rows;
 }
 
 /// A perturbed Books universe — the paper's workload shape (shared domain
@@ -313,6 +326,80 @@ TEST(SparseSimilarityTest, CloneIsIndependentOfSubsequentChurn) {
   EXPECT_NE(Row(index, 0, index.neighbor_floor()), before[0]);
 }
 
+TEST(SparseSimilarityTest, ChurnAcrossCompactionsEqualsRebuild) {
+  // Churn leaves rewritten rows' old entries dead in their segments; the
+  // batch that would take them past kMaxDeadShare of the live entries
+  // compacts every row into one segment instead. Every batch — the one
+  // that compacts, the one after it, and those between — must leave the
+  // rows and tallies of a fresh build, at most that share larger.
+  // Scale-generator families keep rows narrow, so one batch rewrites a
+  // few percent of the entries (a Books universe's shared vocabulary makes
+  // nearly every batch rewrite most of them, so each one would compact).
+  ScaleConfig scale;
+  scale.num_sources = 600;
+  Universe u = std::move(GenerateScaleUniverse(scale).ValueOrDie().universe);
+  scale.num_sources = 630;
+  const Universe extra =
+      std::move(GenerateScaleUniverse(scale).ValueOrDie().universe);
+  NGramJaccard measure(3);
+  SparseSimilarityIndex index(u, measure);
+  const double bound = SparseSimilarityIndex::kMaxDeadShare;
+  std::vector<size_t> compacted;
+  size_t appended = 0;
+  uint64_t dead_before = 0;
+  size_t appended_after_compaction = 0;
+  for (size_t batch = 0; batch < 20; ++batch) {
+    const std::vector<uint32_t> alive = u.AliveSourceIds();
+    const uint32_t renamed = alive[(batch * 7) % alive.size()];
+    std::vector<uint32_t> dirty = {renamed};
+    ASSERT_TRUE(u.mutable_source(renamed)
+                    .RenameAttribute(0, "Edition " + std::to_string(batch))
+                    .ok());
+    if (batch % 3 == 2) {
+      const uint32_t retired = alive[(batch * 11 + 3) % alive.size()];
+      if (retired != renamed) {
+        u.RetireSource(retired);
+        dirty.push_back(retired);
+      }
+      dirty.push_back(u.AddSource(
+          extra.source(static_cast<uint32_t>(600 + appended++ % 30))));
+    }
+    index.ApplyChurn(u, measure, dirty);
+
+    const SparseIndexStats stats = index.stats();
+    SparseSimilarityIndex rebuilt(u, measure);
+    ASSERT_EQ(AllRows(index), AllRows(rebuilt)) << "batch " << batch;
+    ASSERT_EQ(stats.stored_pairs, rebuilt.stats().stored_pairs);
+    EXPECT_EQ(rebuilt.stats().dead_entries, 0u);
+    EXPECT_LE(static_cast<double>(stats.dead_entries),
+              bound * 2.0 * static_cast<double>(stats.stored_pairs));
+    EXPECT_LE(static_cast<double>(index.MemoryBytes()),
+              (1.0 + bound) * static_cast<double>(rebuilt.MemoryBytes()))
+        << "batch " << batch;
+    if (stats.dead_entries < dead_before) compacted.push_back(batch);
+    if (!compacted.empty() && compacted.back() + 1 == batch &&
+        stats.dead_entries > 0) {
+      ++appended_after_compaction;
+    }
+    dead_before = stats.dead_entries;
+  }
+  // The bound was crossed at least twice, and a batch after a compaction
+  // appended a segment again.
+  EXPECT_GE(compacted.size(), 2u);
+  EXPECT_GT(appended_after_compaction, 0u);
+}
+
+TEST(SparseSimilarityDeathTest, ChurnCannotDropAttributes) {
+  // Churn only ever appends attribute slots; a universe with fewer of them
+  // than the index is a wiring bug, not a churn.
+  const Universe larger = BooksUniverse(20);
+  const Universe smaller = BooksUniverse(10);
+  ASSERT_LT(smaller.total_attribute_count(), larger.total_attribute_count());
+  NGramJaccard measure(3);
+  SparseSimilarityIndex index(larger, measure);
+  EXPECT_DEATH(index.ApplyChurn(smaller, measure, {}), "");
+}
+
 TEST(SparseSimilarityTest, MatcherIdenticalOnDenseAndSparse) {
   const Universe u = BooksUniverse(60);
   NGramJaccard measure(3);
@@ -466,26 +553,88 @@ TEST(SparseEngineTest, BlockingMetricsReachTheRegistry) {
             std::string::npos);
 }
 
+/// A mixed batch against `u`: a rename, a removal and a re-listed copy.
+std::vector<ChurnEvent> ForkBatch(const Universe& u, uint32_t round) {
+  const std::vector<uint32_t> alive = u.AliveSourceIds();
+  const Source& renamed = u.source(alive[(3 * round + 1) % alive.size()]);
+  const Source& removed = u.source(alive[(3 * round + 2) % alive.size()]);
+  const Source& model = u.source(alive[(3 * round + 3) % alive.size()]);
+  Source copy(0, "copy-" + std::to_string(round) + "." + model.name());
+  for (const Attribute& a : model.attributes()) {
+    copy.AddAttribute(Attribute(a.name));
+  }
+  return {ChurnEvent::RenameAttribute(renamed.name(), 0, "Publication Year"),
+          ChurnEvent::RemoveSource(removed.name()),
+          ChurnEvent::AddSource(std::move(copy))};
+}
+
 TEST(SparseEngineTest, ForkClonesIndexAndStaysConsistentUnderChurn) {
   // The serving layer's COW step: fork the engine onto a cloned universe,
   // churn the clone, and check the fork's sparse index answers exactly as
-  // a from-scratch engine on the mutated universe would.
+  // a from-scratch engine on the mutated universe would — while the
+  // parent, whose index buffers the fork shares, answers as before.
   const Universe u = BooksUniverse(40);
   MubeConfig config = EngineConfig();
   config.similarity_index = "sparse";
-  auto engine = Mube::Create(&u, config);
-  ASSERT_TRUE(engine.ok());
+  std::unique_ptr<Mube> engine = Mube::Create(&u, config).ValueOrDie();
+  const auto parent_rows = AllRows(engine->similarity());
 
-  Universe mutated = u.Clone();
-  auto fork = engine.ValueOrDie()->Fork(&mutated);
-  ASSERT_TRUE(fork.ok());
+  DeltaUniverse next(u.Clone());
+  std::unique_ptr<Mube> fork = engine->Fork(&next.universe()).ValueOrDie();
+  ChurnDelta delta;
+  ASSERT_TRUE(next.ApplyAll(ForkBatch(u, 0), &delta).ok());
+  ASSERT_TRUE(fork->ApplyDelta(delta).ok());
+
+  std::unique_ptr<Mube> fresh =
+      Mube::Create(&next.universe(), config).ValueOrDie();
+  EXPECT_EQ(AllRows(fork->similarity()), AllRows(fresh->similarity()));
+  EXPECT_NE(AllRows(fork->similarity()), parent_rows);
+  EXPECT_EQ(AllRows(engine->similarity()), parent_rows);
   RunSpec spec;
   spec.seed = 5;
-  auto want = engine.ValueOrDie()->Run(spec);
-  auto have = fork.ValueOrDie()->Run(spec);
-  ASSERT_TRUE(want.ok() && have.ok());
-  EXPECT_EQ(want.ValueOrDie().solution.overall,
-            have.ValueOrDie().solution.overall);
+  const MubeResult want = fresh->Run(spec).ValueOrDie();
+  const MubeResult have = fork->Run(spec).ValueOrDie();
+  EXPECT_EQ(have.solution.sources, want.solution.sources);
+  EXPECT_EQ(have.solution.overall, want.solution.overall);
+}
+
+TEST(SparseEngineTest, ChurnedForkOutlivesTheIndexesItSharesWith) {
+  // Clone → churn → clone → churn, then destroy the first two generations:
+  // the third's rows point into segments the earlier ones wrote, which
+  // must outlive them.
+  const Universe u = BooksUniverse(40);
+  MubeConfig config = EngineConfig();
+  config.similarity_index = "sparse";
+  std::vector<std::unique_ptr<DeltaUniverse>> universes;
+  universes.push_back(std::make_unique<DeltaUniverse>(u.Clone()));
+  std::vector<std::unique_ptr<Mube>> engines;
+  engines.push_back(
+      Mube::Create(&universes.back()->universe(), config).ValueOrDie());
+  for (uint32_t round = 1; round <= 2; ++round) {
+    const Universe& base = universes.back()->universe();
+    universes.push_back(std::make_unique<DeltaUniverse>(base.Clone()));
+    DeltaUniverse& next = *universes.back();
+    engines.push_back(engines.back()->Fork(&next.universe()).ValueOrDie());
+    ChurnDelta delta;
+    ASSERT_TRUE(next.ApplyAll(ForkBatch(base, round), &delta).ok());
+    ASSERT_TRUE(engines.back()->ApplyDelta(delta).ok());
+  }
+  engines[0].reset();
+  engines[1].reset();
+  universes[0].reset();
+  universes[1].reset();
+
+  const Universe& last = universes[2]->universe();
+  std::unique_ptr<Mube> fresh = Mube::Create(&last, config).ValueOrDie();
+  EXPECT_EQ(AllRows(engines[2]->similarity()), AllRows(fresh->similarity()));
+  NGramJaccard measure(3);
+  const SimilarityMatrix dense(last, measure);
+  for (size_t i = 0; i < last.total_attribute_count(); i += 7) {
+    for (size_t j = 0; j < last.total_attribute_count(); ++j) {
+      ASSERT_EQ(engines[2]->similarity().At(i, j), dense.At(i, j))
+          << i << "," << j;
+    }
+  }
 }
 
 TEST(SparseEngineTest, ForkOutlivesItsParent) {
