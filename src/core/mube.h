@@ -127,13 +127,13 @@ class Mube {
   /// Forks the engine onto `universe`, which must hold content identical to
   /// this engine's universe at fork time (the serving layer clones the
   /// catalog first — see Universe::Clone). The fork copies the similarity
-  /// store (dense matrix or sparse index, via CloneSource) and clones the
-  /// signature cache instead of recomputing them, so forking costs a
-  /// memcpy of derived state rather than a similarity (re)build
-  /// or a re-scan of source data; the caller then applies churn to
-  /// the fork via ApplyDelta. The similarity measure and the metrics
-  /// registry attachment are shared; forking credits no metric. This is
-  /// the copy-on-write step of the epoch snapshot manager.
+  /// store (via CloneSource: the dense matrix's buffer, or pointers to the
+  /// sparse index's shared buffers) and clones the signature cache instead
+  /// of recomputing them, so forking costs a copy of derived state rather
+  /// than a similarity (re)build or a re-scan of source data; the caller
+  /// then applies churn to the fork via ApplyDelta. The similarity measure
+  /// and the metrics registry attachment are shared; forking credits no
+  /// metric. This is the copy-on-write step of the epoch snapshot manager.
   Result<std::unique_ptr<Mube>> Fork(const Universe* universe) const;
 
   /// Attaches a metrics registry: Run/ApplyDelta then record the engine's
