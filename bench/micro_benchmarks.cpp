@@ -31,6 +31,7 @@
 #include "common/random.h"
 #include "common/timer.h"
 #include "datagen/generator.h"
+#include "datagen/scale.h"
 #include "exec/executor.h"
 #include "match/matcher.h"
 #include "qef/match_qef.h"
@@ -229,6 +230,67 @@ void BM_SimilarityMatrixBuildParallel(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimilarityMatrixBuildParallel)->Arg(1)->Arg(4)->Arg(0)
+    ->Unit(benchmark::kMillisecond);
+
+/// A scale-generator universe, its sparse index, and the same universe
+/// after one fixed 10-event batch of web_churn's shape: 4 attribute
+/// renames, 3 re-listed copies of live schemas, 3 removals.
+struct ChurnBed {
+  explicit ChurnBed(size_t num_sources)
+      : universe([num_sources] {
+          ScaleConfig config;
+          config.num_sources = num_sources;
+          return std::move(
+              GenerateScaleUniverse(config).ValueOrDie().universe);
+        }()),
+        churned(universe.Clone()),
+        index(universe, jaccard) {
+    const uint32_t stride = static_cast<uint32_t>(num_sources / 11);
+    for (uint32_t e = 0; e < 4; ++e) {
+      const uint32_t sid = (e + 1) * stride;
+      const std::string name = churned.source(sid).attribute(0).name;
+      MUBE_CHECK(
+          churned.mutable_source(sid).RenameAttribute(0, name + " r").ok());
+      dirty.push_back(sid);
+    }
+    for (uint32_t e = 4; e < 7; ++e) {
+      const Source& model = churned.source((e + 1) * stride);
+      Source copy(0, "copy." + model.name());
+      for (const Attribute& a : model.attributes()) {
+        copy.AddAttribute(Attribute(a.name));
+      }
+      dirty.push_back(churned.AddSource(std::move(copy)));
+    }
+    for (uint32_t e = 7; e < 10; ++e) {
+      churned.RetireSource((e + 1) * stride);
+      dirty.push_back((e + 1) * stride);
+    }
+  }
+
+  NGramJaccard jaccard{3};
+  Universe universe;
+  Universe churned;
+  std::vector<uint32_t> dirty;
+  SparseSimilarityIndex index;
+};
+
+/// What an epoch publish spends in the sparse index: clone it, then splice
+/// the batch in. Arg: |U|. The cost should track the batch, not |U|.
+void BM_SparseChurnSplice(benchmark::State& state) {
+  static std::map<int64_t, std::unique_ptr<ChurnBed>> beds;
+  std::unique_ptr<ChurnBed>& bed = beds[state.range(0)];
+  if (!bed) {
+    bed = std::make_unique<ChurnBed>(static_cast<size_t>(state.range(0)));
+  }
+  for (auto _ : state) {
+    std::unique_ptr<SimilaritySource> clone = bed->index.CloneSource();
+    clone->ApplyChurn(bed->churned, bed->jaccard, bed->dirty);
+    benchmark::DoNotOptimize(clone->attribute_count());
+  }
+  state.SetLabel(std::to_string(bed->index.attribute_count()) +
+                 " attributes");
+}
+BENCHMARK(BM_SparseChurnSplice)->Arg(5'000)->Arg(20'000)
     ->Unit(benchmark::kMillisecond);
 
 void BM_MediatedQueryScan(benchmark::State& state) {
