@@ -273,14 +273,14 @@ void SparseSimilarityIndex::RefreshAttributes(const Universe& universe,
                                               size_t old_n,
                                               std::vector<char>& refresh) {
   FactsTable facts = facts_;
-  FactsTable::Editor edit(facts, n_);
+  facts.Grow(n_);
   if (old_n < n_) {
     // Appended attributes belong to the sources from old_n's on.
     for (uint32_t sid = universe.RefFromGlobalIndex(old_n).source_id;
          sid < universe.size(); ++sid) {
       for (uint32_t a = 0; a < universe.source(sid).attribute_count(); ++a) {
         const size_t i = universe.GlobalAttrIndex(AttributeRef(sid, a));
-        if (i >= old_n) edit[i].source = sid;
+        if (i >= old_n) facts.Mutable(i).source = sid;
       }
     }
   }
@@ -310,7 +310,7 @@ void SparseSimilarityIndex::RefreshAttributes(const Universe& universe,
     if (!refresh[i]) continue;
     const uint32_t id = static_cast<uint32_t>(i);
     refreshed.push_back(id);
-    AttrFacts& f = edit[i];
+    AttrFacts& f = facts.Mutable(i);
     if (f.data != nullptr) {
       for (uint64_t gram : TokensOf(i)) gram_removed.push_back({gram, id});
       for (size_t b = 0; b < kBands; ++b) {
@@ -355,7 +355,7 @@ void SparseSimilarityIndex::RefreshAttributes(const Universe& universe,
   const uint64_t* from = staged.data();
   auto next = refreshed.begin();
   auto place = [&](size_t i) {
-    AttrFacts& f = edit[i];
+    AttrFacts& f = facts.Mutable(i);
     const uint64_t* words = f.data;
     const size_t size = f.token_count == 0 ? 0 : kBands + f.token_count;
     if (next != refreshed.end() && *next == i) {
@@ -589,8 +589,8 @@ void SparseSimilarityIndex::SpliceRows(size_t old_n,
   uint32_t* const attr_base = attr_segment.get();
   float* const sim_base = sim_segment.get();
   RowTable rows = rows_;
+  rows.Grow(n_);
   {
-    RowTable::Editor edit(rows, n_);
     size_t at = 0;
     auto t = touched.begin();
     for (uint32_t i : written) {
@@ -600,7 +600,7 @@ void SparseSimilarityIndex::SpliceRows(size_t old_n,
             new_size[static_cast<size_t>(t - touched.begin())]);
         ++t;
       }
-      edit[i] = Row{attr_base + at, sim_base + at, size};
+      rows.Mutable(i) = Row{attr_base + at, sim_base + at, size};
       at += size;
     }
     MUBE_CHECK(at == count);

@@ -1,7 +1,6 @@
 #ifndef MUBE_TEXT_SPARSE_SIMILARITY_H_
 #define MUBE_TEXT_SPARSE_SIMILARITY_H_
 
-#include <array>
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
@@ -9,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/chunked_table.h"
 #include "text/similarity.h"
 #include "text/similarity_source.h"
 
@@ -236,56 +236,6 @@ class SparseSimilarityIndex : public SimilaritySource {
     const uint64_t* data = nullptr;
     uint32_t source = 0;
     uint32_t token_count = 0;
-  };
-
-  /// Records in chunks of 2^kBits, each an immutable shared buffer: a
-  /// copy of the table shares every chunk, and an Editor copies only the
-  /// chunks it writes.
-  template <typename T, size_t kBits>
-  class ChunkedTable {
-   public:
-    static constexpr size_t kChunkSize = size_t{1} << kBits;
-    using Chunk = std::array<T, kChunkSize>;
-
-    const T& operator[](size_t i) const {
-      return (*chunks_[i >> kBits])[i & (kChunkSize - 1)];
-    }
-    size_t MemoryBytes() const {
-      return chunks_.capacity() * sizeof(chunks_[0]) +
-             chunks_.size() * sizeof(Chunk);
-    }
-
-    /// One edit: resizes the table to `n` records (new ones T{}), then
-    /// hands out each written record's chunk copied on its first write.
-    class Editor {
-     public:
-      Editor(ChunkedTable& table, size_t n) : table_(table) {
-        const size_t chunks = (n + kChunkSize - 1) >> kBits;
-        owned_.resize(chunks, nullptr);
-        table_.chunks_.reserve(chunks);
-        while (table_.chunks_.size() < chunks) {
-          auto fresh = std::make_shared<Chunk>();
-          owned_[table_.chunks_.size()] = fresh.get();
-          table_.chunks_.push_back(std::move(fresh));
-        }
-      }
-      T& operator[](size_t i) {
-        Chunk*& chunk = owned_[i >> kBits];
-        if (chunk == nullptr) {
-          auto fresh = std::make_shared<Chunk>(*table_.chunks_[i >> kBits]);
-          chunk = fresh.get();
-          table_.chunks_[i >> kBits] = std::move(fresh);
-        }
-        return (*chunk)[i & (kChunkSize - 1)];
-      }
-
-     private:
-      ChunkedTable& table_;
-      std::vector<Chunk*> owned_;  // chunks this edit copied or created
-    };
-
-   private:
-    std::vector<std::shared_ptr<const Chunk>> chunks_;
   };
 
   /// Immutable buffers that attribute facts or rows point into, each

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/chunked_table.h"
 #include "common/det.h"
 #include "common/flat_map.h"
 #include "common/hash.h"
@@ -555,6 +556,48 @@ TEST(FlatMapTest, BoxedValuePointeeStableAcrossRehash) {
   ASSERT_NE(map.Find(1), nullptr);
   EXPECT_EQ(map.Find(1)->get(), pointee);
   EXPECT_EQ(**map.Find(1), 77u);
+}
+
+// ----------------------------------------------------------- ChunkedTable --
+
+TEST(ChunkedTableTest, GrowAppendsValueInitializedChunks) {
+  ChunkedTable<uint32_t, 2> table;
+  EXPECT_EQ(table.capacity(), 0u);
+  table.Grow(5);
+  EXPECT_EQ(table.capacity(), 8u);
+  for (size_t i = 0; i < 8; ++i) EXPECT_EQ(table[i], 0u);
+  table.Grow(3);  // never shrinks
+  EXPECT_EQ(table.capacity(), 8u);
+}
+
+TEST(ChunkedTableTest, CopiesShareChunksUntilEitherSideWrites) {
+  ChunkedTable<uint32_t, 2> original;
+  original.Grow(8);
+  for (size_t i = 0; i < 8; ++i) original.Mutable(i) = static_cast<uint32_t>(i);
+  const uint32_t* const unshared = &original[0];
+  original.Mutable(1) = 10;  // owned and not yet shared: written in place
+  EXPECT_EQ(&original[0], unshared);
+
+  ChunkedTable<uint32_t, 2> copy = original;
+  EXPECT_EQ(&copy[0], &original[0]);  // shared
+
+  // The copy's write copies one chunk and leaves the other shared.
+  copy.Mutable(2) = 20;
+  EXPECT_NE(&copy[0], &original[0]);
+  EXPECT_EQ(&copy[4], &original[4]);
+  EXPECT_EQ(original[2], 2u);
+  EXPECT_EQ(copy[1], 10u);
+
+  // A table that has been copied never writes a shared chunk in place.
+  original.Mutable(5) = 50;
+  EXPECT_NE(&copy[4], &original[4]);
+  EXPECT_EQ(copy[5], 5u);
+  EXPECT_EQ(original[5], 50u);
+  // Once copied, a chunk is owned again and written in place.
+  const uint32_t* const owned = &original[4];
+  original.Mutable(6) = 60;
+  EXPECT_EQ(&original[4], owned);
+  EXPECT_EQ(copy[6], 6u);
 }
 
 }  // namespace
