@@ -46,8 +46,7 @@ Status DeltaUniverse::Apply(const ChurnEvent& event, ChurnDelta* delta) {
     }
     case ChurnEvent::Kind::kUpdateTuples: {
       MUBE_ASSIGN_OR_RETURN(uint32_t id, ResolveLive(event.source_name));
-      universe_.mutable_source(id).SetTuples(event.tuples);
-      universe_.RefreshStatistics();  // total cardinality changed
+      universe_.UpdateTuples(id, event.tuples);
       // A source added in this same delta is already fully dirty.
       if (!Contains(delta->added, id)) delta->data_changed.push_back(id);
       return Status::OK();

@@ -1,7 +1,6 @@
 #include "qef/characteristic_qef.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "schema/universe.h"
 
@@ -11,19 +10,7 @@ namespace internal {
 
 std::pair<double, double> CharacteristicRange(
     const Universe& universe, const std::string& characteristic) {
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
-  for (const Source& s : universe.sources()) {
-    // Retired sources are not in U; their kept characteristics must not
-    // stretch the range every live source is normalized by.
-    if (!universe.alive(s.id())) continue;
-    std::optional<double> v = s.characteristics().Get(characteristic);
-    if (!v.has_value()) continue;
-    lo = std::min(lo, *v);
-    hi = std::max(hi, *v);
-  }
-  if (lo > hi) return {0.0, 0.0};  // nobody reports it
-  return {lo, hi};
+  return universe.CharacteristicRange(characteristic);
 }
 
 namespace {

@@ -129,7 +129,8 @@ class CharacteristicQef : public Qef {
 namespace internal {
 /// Universe-wide [min, max] of a characteristic over the live sources that
 /// report it (retired sources are not in U). Returns {0, 0} when nobody
-/// reports it.
+/// reports it. A lookup: the universe keeps the ranges by its churn
+/// (Universe::CharacteristicRange).
 std::pair<double, double> CharacteristicRange(
     const Universe& universe, const std::string& characteristic);
 }  // namespace internal

@@ -2,7 +2,12 @@
 // (Card/Coverage/Redundancy) against analytically known overlaps, the
 // characteristic QEFs and aggregators, and the memoizing match QEF.
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <optional>
+#include <string>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -294,6 +299,71 @@ TEST(CharacteristicQefTest, RetiredSourcesDoNotStretchTheRange) {
               MeanAggregator().Aggregate(without, s, "mttf"));
   }
   EXPECT_NEAR(retired_qef.Evaluate({0, 2}), 2.0 / 3.0, 1e-12);
+}
+
+// The range a scan of the live sources in id order computes.
+std::pair<double, double> ScannedRange(const Universe& u,
+                                       const std::string& characteristic) {
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -std::numeric_limits<double>::infinity();
+  for (const Source& s : u.sources()) {
+    if (!u.alive(s.id())) continue;
+    const std::optional<double> v = s.characteristics().Get(characteristic);
+    if (!v.has_value()) continue;
+    lo = std::min(lo, *v);
+    hi = std::max(hi, *v);
+  }
+  if (lo > hi) return {0.0, 0.0};
+  return {lo, hi};
+}
+
+TEST(CharacteristicQefTest, RangeLookupEqualsTheScanAsExtremesRetire) {
+  // Two sources share the maximum, one holds the minimum alone, and a
+  // zero end is held with both signs.
+  Universe u = CharacteristicUniverse();  // mttf 50, 100, 150; one mute
+  const double values[] = {150.0, 10.0, 0.0, -0.0};
+  for (int i = 0; i < 4; ++i) {
+    Source s(0, std::string("extra") + static_cast<char>('0' + i));
+    s.AddAttribute(Attribute("x"));
+    s.set_cardinality(10);
+    s.characteristics().Set("mttf", values[i]);
+    s.characteristics().Set("fees", values[i]);
+    u.AddSource(std::move(s));
+  }
+  auto expect_scan = [&](const char* when) {
+    for (const char* c : {"mttf", "fees", "absent"}) {
+      const auto got = internal::CharacteristicRange(u, c);
+      const auto want = ScannedRange(u, c);
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof(got)), 0)
+          << c << " " << when << ": [" << got.first << ", " << got.second
+          << "] vs [" << want.first << ", " << want.second << "]";
+    }
+  };
+  expect_scan("built");
+  EXPECT_EQ(internal::CharacteristicRange(u, "mttf"),
+            std::make_pair(0.0, 150.0));
+  u.RetireSource(2);  // one of two holders of 150: the max stays
+  expect_scan("after a shared max retires");
+  u.RetireSource(4);  // the other holder of 150
+  expect_scan("after the last max holder retires");
+  EXPECT_EQ(internal::CharacteristicRange(u, "mttf").second, 100.0);
+  u.RetireSource(6);  // +0.0 leaves; -0.0 still holds the min
+  expect_scan("after +0 retires");
+  EXPECT_TRUE(std::signbit(internal::CharacteristicRange(u, "mttf").first));
+  u.RetireSource(7);
+  expect_scan("after -0 retires");
+  EXPECT_EQ(internal::CharacteristicRange(u, "fees"), std::make_pair(10.0, 10.0));
+  u.RetireSource(5);
+  expect_scan("after every fees holder retires");
+  EXPECT_EQ(internal::CharacteristicRange(u, "fees"), std::make_pair(0.0, 0.0));
+
+  // An in-place edit shows once the statistics are refreshed.
+  u.mutable_source(0).characteristics().Set("mttf", 900.0);
+  u.mutable_source(3).characteristics().Set("fees", -4.0);
+  u.RefreshStatistics();
+  expect_scan("after mutable_source and RefreshStatistics");
+  EXPECT_EQ(internal::CharacteristicRange(u, "mttf"),
+            std::make_pair(100.0, 900.0));
 }
 
 // ------------------------------------------------------------- health QEF --

@@ -2,12 +2,21 @@
 // (Definition 1), mediated schemas (Definitions 2-3), and the text
 // serialization round trip.
 
+#include <algorithm>
+#include <cstring>
 #include <fstream>
+#include <limits>
+#include <memory>
+#include <optional>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "dynamic/delta_universe.h"
 #include "schema/attribute.h"
 #include "schema/global_attribute.h"
 #include "schema/mediated_schema.h"
@@ -156,6 +165,279 @@ TEST(UniverseTest, RefreshStatisticsAfterMutation) {
   u.mutable_source(2).set_cardinality(100);
   u.RefreshStatistics();
   EXPECT_EQ(u.total_cardinality(), 3u + 2u + 100u);
+}
+
+// --------------------------------------------- Universe churn and clones --
+
+// Characteristic values are drawn from a few, ±0 among them, so a range's
+// ends have several holders and the sign of a zero end matters.
+constexpr double kCharacteristicValues[] = {-0.0, 0.0, 1.5, 2.5, 7.0, 100.0};
+const char* const kCharacteristics[] = {"mttf", "latency", "fees"};
+
+// prefix + n (+ suffix), built by appending.
+std::string Numbered(const char* prefix, uint64_t n, const char* suffix = "") {
+  std::string name = prefix;
+  name += std::to_string(n);
+  name += suffix;
+  return name;
+}
+
+Source RandomSource(Rng& rng, const std::string& name) {
+  Source s(0, name);
+  const uint64_t attrs = 1 + rng.Uniform(4);
+  for (uint64_t a = 0; a < attrs; ++a) {
+    s.AddAttribute(Attribute(Numbered("attr ", rng.Uniform(50))));
+  }
+  if (rng.Bernoulli(0.7)) {
+    std::vector<uint64_t> tuples(rng.Uniform(20));
+    for (uint64_t& t : tuples) t = rng.Uniform(1000);
+    s.SetTuples(std::move(tuples));
+  } else {
+    s.set_cardinality(rng.Uniform(100));
+  }
+  for (const char* c : kCharacteristics) {
+    if (rng.Bernoulli(0.6)) {
+      s.characteristics().Set(c, kCharacteristicValues[rng.Uniform(6)]);
+    }
+  }
+  return s;
+}
+
+// The range as a scan of the live sources in id order computes it.
+std::pair<double, double> ScannedRange(const Universe& u,
+                                       const std::string& characteristic) {
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -std::numeric_limits<double>::infinity();
+  for (uint32_t id = 0; id < u.size(); ++id) {
+    if (!u.alive(id)) continue;
+    const std::optional<double> v =
+        u.source(id).characteristics().Get(characteristic);
+    if (!v.has_value()) continue;
+    lo = std::min(lo, *v);
+    hi = std::max(hi, *v);
+  }
+  if (lo > hi) return {0.0, 0.0};
+  return {lo, hi};
+}
+
+bool SameBits(std::pair<double, double> a, std::pair<double, double> b) {
+  return std::memcmp(&a.first, &b.first, sizeof(double)) == 0 &&
+         std::memcmp(&a.second, &b.second, sizeof(double)) == 0;
+}
+
+// Every statistic `u` keeps by its churn equals a refreshed copy's, and
+// each range equals the scan's bit for bit.
+void ExpectStatisticsOfARefresh(const Universe& u) {
+  Universe fresh = u.Clone();
+  fresh.RefreshStatistics();
+  ASSERT_EQ(u.total_attribute_count(), fresh.total_attribute_count());
+  for (uint32_t id = 0; id < u.size(); ++id) {
+    for (uint32_t a = 0; a < u.source(id).attribute_count(); ++a) {
+      const AttributeRef ref(id, a);
+      ASSERT_EQ(u.GlobalAttrIndex(ref), fresh.GlobalAttrIndex(ref));
+      ASSERT_EQ(u.RefFromGlobalIndex(u.GlobalAttrIndex(ref)), ref);
+    }
+    ASSERT_EQ(u.source(id).cardinality(), fresh.source(id).cardinality());
+  }
+  ASSERT_EQ(u.total_cardinality(), fresh.total_cardinality());
+  ASSERT_EQ(u.alive_count(), fresh.alive_count());
+  for (const char* c : kCharacteristics) {
+    ASSERT_TRUE(SameBits(u.CharacteristicRange(c), fresh.CharacteristicRange(c)))
+        << c;
+    ASSERT_TRUE(SameBits(u.CharacteristicRange(c), ScannedRange(u, c))) << c;
+  }
+}
+
+// What a universe holds, as text: every slot's schema, data, liveness and
+// characteristics, then its statistics.
+std::string Dump(const Universe& u) {
+  std::ostringstream out;
+  for (const Source& s : u.sources()) {
+    out << s.ToString() << (u.alive(s.id()) ? " live" : " retired")
+        << " card=" << s.cardinality() << " tuples=";
+    for (uint64_t t : s.tuples()) out << t << ",";
+    for (const auto& [name, value] : s.characteristics().values()) {
+      out << " " << name << "=" << value;
+    }
+    out << "\n";
+  }
+  out << u.total_attribute_count() << " " << u.total_cardinality() << " "
+      << u.alive_count();
+  for (const char* c : kCharacteristics) {
+    const auto [lo, hi] = u.CharacteristicRange(c);
+    out << " " << c << "=[" << lo << "," << hi << "]";
+  }
+  return out.str();
+}
+
+// Head's FindSource: the first live source in id order, else the first.
+std::optional<uint32_t> LinearFind(const Universe& u, const std::string& name) {
+  std::optional<uint32_t> retired;
+  for (uint32_t id = 0; id < u.size(); ++id) {
+    if (u.source(id).name() != name) continue;
+    if (u.alive(id)) return id;
+    if (!retired.has_value()) retired = id;
+  }
+  return retired;
+}
+
+TEST(UniverseTest, DeltaKeptStatisticsMatchARefreshAfterEveryEvent) {
+  Rng rng(23);
+  Universe seed;
+  for (int i = 0; i < 40; ++i) {
+    seed.AddSource(RandomSource(rng, Numbered("s", i)));
+  }
+  // Every 25 events the churn moves on to a clone, so writes land on
+  // chunks its ancestors share.
+  std::vector<std::unique_ptr<DeltaUniverse>> epochs;
+  epochs.push_back(std::make_unique<DeltaUniverse>(std::move(seed)));
+  for (int step = 0; step < 600; ++step) {
+    if (step % 25 == 24) {
+      epochs.push_back(
+          std::make_unique<DeltaUniverse>(epochs.back()->universe().Clone()));
+    }
+    DeltaUniverse& du = *epochs.back();
+    const Universe& u = du.universe();
+    const std::vector<uint32_t> alive = u.AliveSourceIds();
+    const std::string some =
+        alive.empty() ? "none" : u.source(alive[rng.Uniform(alive.size())]).name();
+    ChurnEvent event = ChurnEvent::RemoveSource(some);
+    switch (alive.size() < 20 ? 0 : rng.Uniform(4)) {
+      case 0:
+        // Names repeat, so retired names come back.
+        event = ChurnEvent::AddSource(
+            RandomSource(rng, Numbered("s", rng.Uniform(80))));
+        break;
+      case 1:
+        break;
+      case 2:
+        event = ChurnEvent::RenameAttribute(some, 0, "renamed");
+        break;
+      default: {
+        std::vector<uint64_t> tuples(rng.Uniform(30));
+        for (uint64_t& t : tuples) t = rng.Uniform(1000);
+        event = ChurnEvent::UpdateTuples(some, std::move(tuples));
+      }
+    }
+    ChurnDelta delta;
+    const Status status = du.Apply(event, &delta);
+    // Only an add whose name a live source carries is refused.
+    if (!status.ok()) {
+      ASSERT_EQ(event.kind, ChurnEvent::Kind::kAddSource) << status.ToString();
+    }
+    ExpectStatisticsOfARefresh(u);
+    if (HasFatalFailure()) FAIL() << "after step " << step;
+  }
+}
+
+TEST(UniverseTest, FindSourceMatchesALinearScanOverChurn) {
+  // Twelve names for hundreds of sources: live duplicates, retired
+  // matches, and name-index rebuilds as the universe grows past them.
+  Rng rng(7);
+  std::vector<std::unique_ptr<Universe>> epochs;
+  epochs.push_back(std::make_unique<Universe>());
+  for (int step = 0; step < 3000; ++step) {
+    if (step % 100 == 99) {
+      epochs.push_back(std::make_unique<Universe>(epochs.back()->Clone()));
+    }
+    Universe& u = *epochs.back();
+    if (u.alive_count() == 0 || rng.Bernoulli(0.6)) {
+      Source s(0, Numbered("n", rng.Uniform(12), ".com"));
+      s.AddAttribute(Attribute("a"));
+      u.AddSource(std::move(s));
+    } else {
+      const std::vector<uint32_t> alive = u.AliveSourceIds();
+      u.RetireSource(alive[rng.Uniform(alive.size())]);
+    }
+    for (int n = 0; n <= 12; ++n) {
+      const std::string name = Numbered("n", n, ".com");
+      ASSERT_EQ(u.FindSource(name), LinearFind(u, name))
+          << name << " at step " << step;
+    }
+  }
+  // Every earlier epoch still answers as its own scan does.
+  for (const std::unique_ptr<Universe>& u : epochs) {
+    for (int n = 0; n < 12; ++n) {
+      const std::string name = Numbered("n", n, ".com");
+      EXPECT_EQ(u->FindSource(name), LinearFind(*u, name));
+    }
+  }
+}
+
+TEST(UniverseTest, CloneIsIndependentOfChurnOnEitherSide) {
+  Rng rng(11);
+  Universe original;
+  for (int i = 0; i < 150; ++i) {
+    original.AddSource(RandomSource(rng, Numbered("s", i)));
+  }
+  Universe clone = original.Clone();
+  const std::string before = Dump(original);
+  ASSERT_EQ(Dump(clone), before);
+
+  auto churn = [&](Universe& u, int salt) {
+    u.AddSource(RandomSource(rng, Numbered("new", salt)));
+    u.RetireSource(static_cast<uint32_t>(3 + salt));
+    u.RetireSource(static_cast<uint32_t>(70 + salt));
+    u.UpdateTuples(static_cast<uint32_t>(130 + salt), {1, 2, 3, 4});
+    ASSERT_TRUE(u.mutable_source(static_cast<uint32_t>(65 + salt))
+                    .RenameAttribute(0, "renamed")
+                    .ok());
+    u.mutable_source(static_cast<uint32_t>(10 + salt))
+        .characteristics()
+        .Set("mttf", 1e6);
+    u.RefreshStatistics();
+  };
+  churn(original, 0);
+  EXPECT_EQ(Dump(clone), before);
+  const std::string original_after = Dump(original);
+  EXPECT_NE(original_after, before);
+
+  churn(clone, 1);
+  EXPECT_EQ(Dump(original), original_after);
+  EXPECT_NE(Dump(clone), before);
+  EXPECT_EQ(clone.FindSource("new1"), std::optional<uint32_t>(150));
+  EXPECT_EQ(original.FindSource("new1"), std::nullopt);
+  ExpectStatisticsOfARefresh(original);
+  ExpectStatisticsOfARefresh(clone);
+}
+
+TEST(UniverseTest, ChurnedCloneOutlivesTheUniversesItSharesWith) {
+  // Clone → churn → clone → churn, then destroy the first two
+  // generations: the third reads chunks the earlier ones wrote, which
+  // must outlive them (run under ASan to see a use after free).
+  Rng rng(5);
+  std::vector<std::unique_ptr<Universe>> generations;
+  generations.push_back(std::make_unique<Universe>());
+  Universe reference;
+  for (int i = 0; i < 200; ++i) {
+    const Source s = RandomSource(rng, Numbered("s", i));
+    generations[0]->AddSource(s);
+    reference.AddSource(s);
+  }
+  for (uint32_t round = 1; round <= 2; ++round) {
+    generations.push_back(
+        std::make_unique<Universe>(generations.back()->Clone()));
+    Universe& next = *generations.back();
+    for (uint32_t k = 0; k < 5; ++k) {
+      const Source s = RandomSource(rng, Numbered("r", round * 10 + k));
+      next.AddSource(s);
+      reference.AddSource(s);
+      const uint32_t retired = round * 40 + k * 7;
+      next.RetireSource(retired);
+      reference.RetireSource(retired);
+      const std::vector<uint64_t> tuples = {round, k, 99};
+      next.UpdateTuples(round * 50 + k, tuples);
+      reference.UpdateTuples(round * 50 + k, tuples);
+    }
+  }
+  generations[0].reset();
+  generations[1].reset();
+  const Universe& last = *generations[2];
+  EXPECT_EQ(Dump(last), Dump(reference));
+  for (const Source& s : reference.sources()) {
+    EXPECT_EQ(last.FindSource(s.name()), reference.FindSource(s.name()));
+  }
+  ExpectStatisticsOfARefresh(last);
 }
 
 // -------------------------------------------------- GlobalAttribute (Def 1)
