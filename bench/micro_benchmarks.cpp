@@ -32,6 +32,8 @@
 #include "common/timer.h"
 #include "datagen/generator.h"
 #include "datagen/scale.h"
+#include "dynamic/churn.h"
+#include "dynamic/delta_universe.h"
 #include "exec/executor.h"
 #include "match/matcher.h"
 #include "qef/match_qef.h"
@@ -291,6 +293,47 @@ void BM_SparseChurnSplice(benchmark::State& state) {
                  " attributes");
 }
 BENCHMARK(BM_SparseChurnSplice)->Arg(5'000)->Arg(20'000)
+    ->Unit(benchmark::kMillisecond);
+
+/// What an epoch publish spends in the universe: clone it, then apply one
+/// web_churn-shaped batch (4 renames, 3 adds, 3 removes). Arg: |U|. The
+/// clone shares the source chunks, so the cost should track the batch.
+void BM_UniversePublish(benchmark::State& state) {
+  static std::map<int64_t, Universe> universes;
+  Universe& universe = universes[state.range(0)];
+  if (universe.empty()) {
+    ScaleConfig config;
+    config.num_sources = static_cast<size_t>(state.range(0));
+    universe = std::move(GenerateScaleUniverse(config).ValueOrDie().universe);
+  }
+  const uint32_t stride = static_cast<uint32_t>(universe.size() / 11);
+  std::vector<ChurnEvent> batch;
+  for (uint32_t e = 0; e < 4; ++e) {
+    const Source& s = universe.source((e + 1) * stride);
+    batch.push_back(
+        ChurnEvent::RenameAttribute(s.name(), 0, s.attribute(0).name + " r"));
+  }
+  for (uint32_t e = 4; e < 7; ++e) {
+    const Source& model = universe.source((e + 1) * stride);
+    Source copy(0, "copy." + model.name());
+    for (const Attribute& a : model.attributes()) {
+      copy.AddAttribute(Attribute(a.name));
+    }
+    batch.push_back(ChurnEvent::AddSource(std::move(copy)));
+  }
+  for (uint32_t e = 7; e < 10; ++e) {
+    batch.push_back(
+        ChurnEvent::RemoveSource(universe.source((e + 1) * stride).name()));
+  }
+  for (auto _ : state) {
+    DeltaUniverse next(universe.Clone());
+    ChurnDelta delta;
+    MUBE_CHECK(next.ApplyAll(batch, &delta).ok());
+    benchmark::DoNotOptimize(next.universe().alive_count());
+  }
+  state.SetLabel(std::to_string(universe.size()) + " sources");
+}
+BENCHMARK(BM_UniversePublish)->Arg(5'000)->Arg(50'000)
     ->Unit(benchmark::kMillisecond);
 
 void BM_MediatedQueryScan(benchmark::State& state) {
