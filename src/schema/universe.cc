@@ -85,7 +85,7 @@ std::vector<uint32_t> Universe::AliveSourceIds() const {
   return ids;
 }
 
-void Universe::RebuildIndex() {
+void Universe::RefreshStatistics() {
   attr_offsets_.resize(records_.size());
   size_t offset = 0;
   uint64_t cardinality = 0;

@@ -69,7 +69,7 @@ class Universe {
   /// index, the cardinality total, the characteristic ranges, and the name
   /// index — after in-place mutation of sources. O(|U|); the churn writes
   /// below keep them by their delta instead.
-  void RefreshStatistics() { RebuildIndex(); }
+  void RefreshStatistics();
 
   /// Marks a source as removed from the universe. Its slot (id, attribute
   /// index range) survives as a tombstone so derived per-attribute state
@@ -160,7 +160,6 @@ class Universe {
     void Add(double v);
   };
 
-  void RebuildIndex();
   /// Points records_ at the sources of `id`'s chunk.
   void RepointChunk(uint32_t id);
   /// The extent of `characteristic` scanned over the live sources.
