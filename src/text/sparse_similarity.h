@@ -59,12 +59,14 @@
 /// is new and every row is verified: rows are built in one place.
 ///
 /// Every derived structure is an immutable buffer behind a shared_ptr, so
-/// a clone (the epoch fork of the serving layer) shares them all. Rows and
-/// tokens live in append-only segments. A churn writes the rows it
-/// touches — the re-verified rows and their old and new partners — into
-/// one new segment, and patches the postings and buckets by its delta
-/// (copying their untouched runs, with no sort): no row is copied unless
-/// the delta touched it.
+/// a clone (the epoch fork of the serving layer) shares them all. Rows,
+/// tokens and the gram and band-bucket lists live in append-only segments;
+/// a key table (open addressing, copy-on-write chunks) maps each gram or
+/// band key to its list. A churn writes the rows it touches — the
+/// re-verified rows and their old and new partners — into one new row
+/// segment, and the new lists of the keys its delta touches into one new
+/// list segment: nothing is copied unless the delta touched it, and no
+/// scratch array has an entry per attribute.
 
 namespace mube {
 
@@ -101,6 +103,9 @@ struct SparseIndexStats {
   /// Row entries the index still holds but no row reads: the old entries
   /// of rows a churn rewrote, kept until a compaction (see kMaxDeadShare).
   uint64_t dead_entries = 0;
+  /// Gram and bucket list entries the index still holds but no key lists:
+  /// the old lists of keys a churn rewrote, kept until a compaction.
+  uint64_t dead_list_entries = 0;
 };
 
 /// \brief Sparse candidate-blocked similarity index over a universe's
@@ -133,7 +138,8 @@ class SparseSimilarityIndex : public SimilaritySource {
   /// Bit-identical to Rebuild() on the mutated universe, at measure calls
   /// proportional to the churn delta (rows of dirty sources, plus rows
   /// whose gram-df / bucket-size pruning decisions flipped — those flips
-  /// are themselves caused by the delta).
+  /// are themselves caused by the delta). Liveness is read from the dirty
+  /// and appended sources only, so a retired source must be listed.
   void ApplyChurn(const Universe& universe, const SimilarityMeasure& measure,
                   const std::vector<uint32_t>& dirty_sources,
                   unsigned threads = 1) override;
@@ -180,11 +186,18 @@ class SparseSimilarityIndex : public SimilaritySource {
   const SparseIndexStats& stats() const { return stats_; }
   const SparseIndexOptions& options() const { return options_; }
 
-  /// Rows and attribute tokens live in append-only segments; a churn
-  /// writes what it changed into one new segment and leaves the old
-  /// entries dead. Once dead entries would pass this share of the live
-  /// ones, the churn writes every live entry into one segment instead.
+  /// Rows, attribute tokens and key lists live in append-only segments; a
+  /// churn writes what it changed into one new segment of each and leaves
+  /// the old entries dead. Once a kind's dead entries would pass this
+  /// share of its live ones, the churn writes every live entry of that
+  /// kind into one segment instead.
   static constexpr double kMaxDeadShare = 0.25;
+
+  /// Pruning caps of the blocking: a gram listing more attributes than
+  /// kMaxGramDf (a stop-gram) and a band bucket holding more than
+  /// kMaxBandBucket (a degenerate band) yield no candidates.
+  static constexpr size_t kMaxGramDf = 256;
+  static constexpr size_t kMaxBandBucket = 128;
 
  private:
   struct RowEntry {
@@ -201,14 +214,49 @@ class SparseSimilarityIndex : public SimilaritySource {
   /// the At() fallback, so all three agree bitwise.
   double ExactPair(size_t i, size_t j) const;
 
-  /// Key → ascending attribute ids (gram postings or LSH buckets): sorted
-  /// unique keys, and key k's ids in attrs[offsets[k], offsets[k + 1]).
-  struct Csr {
-    std::vector<uint64_t> keys;
-    std::vector<uint32_t> offsets{0};
-    std::vector<uint32_t> attrs;
+  /// Immutable buffers that attribute facts, rows or key lists point into,
+  /// each written once by the churn that created it.
+  struct Segments {
+    std::vector<std::shared_ptr<const void>> buffers;
+    size_t size = 0;  // elements across the buffers, dead ones included
+    size_t live = 0;  // elements a fact, row or key points at
   };
-  /// A (key, attribute) entry of a Csr.
+
+  /// One churn's write into a Segments: the records it touched go into
+  /// one new segment, or, when the dead elements would then pass
+  /// kMaxDeadShare of the live ones, every record with elements does.
+  /// Tokens, rows and key lists all write through it.
+  class SegmentWrite {
+   public:
+    /// A write of `written` elements that leaves `live_after` in use.
+    SegmentWrite(Segments& segments, size_t written, size_t live_after);
+
+    bool compact() const { return compact_; }
+    /// Elements of the new segment.
+    size_t count() const { return count_; }
+
+    /// Lays the segment out: calls place(i, at, size, k) for each record
+    /// written, in ascending order of i, with `at` its first element in
+    /// the segment. Those are the `touched` records (ascending; touched[k]
+    /// gets sizes[k] elements) and, compacting, every other record
+    /// i < `records` with old_size(i) > 0 elements, which get k = kKept.
+    template <typename OldSize, typename Place>
+    void Layout(const std::vector<uint32_t>& touched,
+                const std::vector<size_t>& sizes, size_t records,
+                OldSize old_size, Place place) const;
+    static constexpr size_t kKept = ~size_t{0};
+
+    /// Adds the segment's buffers; compacting, they replace every buffer.
+    void Commit(std::initializer_list<std::shared_ptr<const void>> buffers);
+
+   private:
+    Segments& segments_;
+    size_t live_after_;
+    bool compact_;
+    size_t count_;
+  };
+
+  /// A (key, attribute) entry of the gram postings or band buckets.
   struct KeyedAttr {
     uint64_t key;
     uint32_t attr;
@@ -217,16 +265,77 @@ class SparseSimilarityIndex : public SimilaritySource {
     }
   };
 
-  /// The attributes `csr` lists under `key` (empty if none).
-  static std::span<const uint32_t> Lookup(const Csr& csr, uint64_t key);
+  /// Key tables copy on write in chunks of 64 slots: the ~900 keys a
+  /// churn touches at 5×10⁴ sources are spread over the table, so larger
+  /// chunks would copy most of it.
+  static constexpr size_t kKeyChunkBits = 6;
 
-  /// `old` with the `removed` entries taken out and `added` merged in
-  /// (both sorted), and keys left without attributes dropped: byte for
-  /// byte the CSR a build over the new entries would produce. Flags in
-  /// `flipped` every attribute of a key whose list size crossed `cap`.
-  static Csr PatchCsr(const Csr& old, const std::vector<KeyedAttr>& removed,
-                      const std::vector<KeyedAttr>& added, size_t cap,
-                      std::vector<char>& flipped);
+  /// Key → ascending attribute ids (gram postings or LSH buckets), each
+  /// attribute listed at most once under a key (tokens are a set and band
+  /// keys are salted per band). A key table, open-addressed over a hash of
+  /// the key and at most half full, holds each key whose list is not
+  /// empty and where that list lies in a list segment.
+  ///
+  /// A list of at most `cap` ids — the only kind candidate generation
+  /// reads — is stored whole, byte for byte what a build produces. A list
+  /// above the cap is only ever counted until it falls back to the cap,
+  /// so a churn that leaves it above writes just its pending changes
+  /// against its stored base; the list is the base with the removed ids
+  /// taken out and the added ones put in. A compaction, or a churn that
+  /// brings the list to the cap, stores it whole again. So a churn writes
+  /// in proportion to its delta even when it touches stop-grams of 10⁴
+  /// ids.
+  struct KeyedLists {
+    explicit KeyedLists(size_t list_cap) : cap(list_cap) {}
+
+    struct Slot {
+      uint64_t key = 0;
+      const uint32_t* attrs = nullptr;  // the list, or its base
+      const uint32_t* pending = nullptr;  // `adds` ids, then `removes`
+      uint32_t size = 0;  // ids listed; 0: the slot is empty
+      uint32_t adds = 0;
+      uint32_t removes = 0;
+
+      std::span<const uint32_t> Base() const {
+        return {attrs, size - adds + removes};
+      }
+      std::span<const uint32_t> Adds() const { return {pending, adds}; }
+      std::span<const uint32_t> Removes() const {
+        return {pending + adds, removes};
+      }
+    };
+    size_t cap;
+    ChunkedTable<Slot, kKeyChunkBits> slots;
+    size_t keys = 0;
+    // Its `live` counts the ids listed, so its dead elements count the
+    // removed ids that pending changes still hold twice as well.
+    Segments segments;
+
+    /// The attributes listed under `key`: none if there are none or more
+    /// than `cap`, which yield no candidates.
+    std::span<const uint32_t> Find(uint64_t key) const;
+
+    /// Takes the `removed` entries out and puts the `added` ones in (both
+    /// sorted; every removed entry must be listed, no added one may be).
+    /// What the touched keys store goes into one new segment (see
+    /// SegmentWrite), and a key whose list empties leaves the table.
+    /// Appends to `flipped` every attribute of a key whose list size
+    /// crossed `cap`.
+    void Apply(std::vector<KeyedAttr> removed, std::vector<KeyedAttr> added,
+               std::vector<uint32_t>& flipped);
+
+    size_t MemoryBytes() const;
+
+   private:
+    size_t Home(uint64_t key) const;
+    /// The slot holding `key`, or the empty slot where it would go.
+    size_t Position(uint64_t key) const;
+    /// Makes room for `more` keys, rehashing into a larger table if the
+    /// table would pass half full.
+    void Reserve(size_t more);
+    /// Empties slot p, moving later slots of its probe run back.
+    void Erase(size_t p);
+  };
 
   /// What the index keeps of one attribute. `data` points into a token
   /// segment: the kBands minhash band keys, then `token_count` sorted
@@ -235,59 +344,47 @@ class SparseSimilarityIndex : public SimilaritySource {
   struct AttrFacts {
     const uint64_t* data = nullptr;
     uint32_t source = 0;
-    uint32_t token_count = 0;
+    uint32_t token_count : 31 = 0;
+    uint32_t live : 1 = 0;  // whether the source is live
   };
 
-  /// Immutable buffers that attribute facts or rows point into, each
-  /// written once by the churn that created it.
-  struct Segments {
-    std::vector<std::shared_ptr<const void>> buffers;
-    size_t size = 0;  // elements across the buffers, dead ones included
-    size_t live = 0;  // elements a fact or row points at
+  class IdSet;
+  class TouchedRows;
 
-    /// Whether a churn that writes `written` elements, leaving
-    /// `live_after` in use, must compact instead.
-    bool MustCompact(size_t written, size_t live_after) const;
-    /// Adds the buffers of a churn's segment of `count` elements;
-    /// compacting, they replace every buffer.
-    void Add(std::initializer_list<std::shared_ptr<const void>> added,
-             size_t count, bool compact, size_t live_after);
+  /// The rows being re-verified: every row below first_clean, and those
+  /// in `above`.
+  struct Reverified {
+    uint32_t first_clean = 0;
+    const IdSet* above = nullptr;
+    bool Contains(uint32_t j) const;
   };
 
-  /// Resolves the sources of attributes from `old_n` on and every
-  /// source's liveness, flagging in `refresh` the attributes of sources
-  /// whose liveness flipped. Then re-derives tokens and minhash band keys
-  /// of the flagged attributes and patches the gram postings and LSH
-  /// buckets by their delta (no measure calls), flagging too the
-  /// attributes of every gram or bucket whose size crossed its pruning
-  /// cap.
-  void RefreshAttributes(const Universe& universe,
-                         const SimilarityMeasure& measure, size_t old_n,
-                         std::vector<char>& refresh);
+  /// Reads the sources and liveness of the `refreshed` attributes
+  /// (ascending: the dirty sources' and every one from `old_n` on),
+  /// re-derives their tokens and minhash band keys and applies their
+  /// delta to the gram postings and LSH buckets (no measure calls).
+  /// Returns the attributes of every gram or bucket whose size crossed
+  /// its pruning cap, unsorted.
+  std::vector<uint32_t> RefreshAttributes(
+      const Universe& universe, const SimilarityMeasure& measure,
+      size_t old_n, const std::vector<uint32_t>& refreshed);
 
   std::span<const uint64_t> TokensOf(size_t i) const {
     const AttrFacts& f = facts_[i];
     return {f.data == nullptr ? nullptr : f.data + kBands, f.token_count};
   }
 
-  /// The rows being re-verified: mask[j] != 0 for each, and first_clean
-  /// is the smallest j with mask[j] == 0 (n_ if none).
-  struct Skip {
-    const std::vector<char>& mask;
-    uint32_t first_clean;
-  };
-
   /// Appends every candidate partner of `i` to `out`, each once and
   /// same-source partners left out. Partners j < i whose row is
   /// re-verified too are left out as well: that row scores the pair.
-  /// `seen` (n_ zeros, the caller's) is marked at the partners appended.
-  void GenerateCandidates(size_t i, const Skip& skip, std::vector<char>& seen,
-                          std::vector<uint32_t>& out) const;
+  /// `seen` (empty, the caller's) gets every partner scanned.
+  void GenerateCandidates(size_t i, const Reverified& reverified,
+                          IdSet& seen, std::vector<uint32_t>& out) const;
 
-  /// Verifies row i's candidates (see GenerateCandidates for `skip`) and
-  /// appends its stored entries to `out`, sorted by partner. Adds one to
-  /// `measure_calls` per candidate scored. Leaves `seen` all zeros.
-  void VerifyRow(size_t i, const Skip& skip, std::vector<char>& seen,
+  /// Verifies row i's candidates (see GenerateCandidates) and appends its
+  /// stored entries to `out`, sorted by partner. Adds one to
+  /// `measure_calls` per candidate scored. Leaves `seen` empty.
+  void VerifyRow(size_t i, const Reverified& reverified, IdSet& seen,
                  std::vector<uint32_t>& cand_scratch, uint64_t& measure_calls,
                  std::vector<RowEntry>& out) const;
 
@@ -305,21 +402,23 @@ class SparseSimilarityIndex : public SimilaritySource {
     }
   };
 
-  /// Verifies the rows `reverify` lists (ascending; flagged in
-  /// `recompute`) on `pool`.
-  Verified VerifyRows(const std::vector<char>& recompute,
+  /// Verifies the rows `reverify` lists (ascending) on `pool`.
+  Verified VerifyRows(const Reverified& reverified,
                       const std::vector<uint32_t>& reverify,
                       ThreadPool& pool) const;
 
   /// Writes the rows the verified entries touch — the re-verified rows,
   /// with their mirrors, and their old and new partners — into a new row
-  /// segment, or every row into one segment when the dead entries would
-  /// pass kMaxDeadShare.
-  void SpliceRows(size_t old_n, const std::vector<char>& recompute,
+  /// segment (see SegmentWrite).
+  void SpliceRows(size_t old_n, const Reverified& reverified,
                   const std::vector<uint32_t>& reverify,
                   const Verified& verified, ThreadPool& pool);
 
-  bool live(size_t i) const { return (*source_live_)[facts_[i].source]; }
+  /// The blocking tallies of the rows `reverify` lists, from per-source
+  /// counts of those rows and the live attribute count.
+  void CountPairs(const Universe& universe,
+                  const std::vector<uint32_t>& reverify,
+                  uint64_t measure_calls);
 
   /// A stored row: `size` partners ascending in attr[], their scores in
   /// sim[], both in a row segment.
@@ -335,17 +434,17 @@ class SparseSimilarityIndex : public SimilaritySource {
   bool use_counts_ = false;
   size_t n_ = 0;
 
+  uint64_t live_attrs_ = 0;  // attributes of live sources
+
   // Everything below is shared with clones and never written in place: a
   // churn publishes new tables and segments beside the old ones.
   static constexpr size_t kBands = 8;
-  std::shared_ptr<const std::vector<char>> source_live_ =
-      std::make_shared<const std::vector<char>>();
   using FactsTable = ChunkedTable<AttrFacts, 10>;
   FactsTable facts_;
   Segments token_segments_;
   // Gram postings and LSH buckets over the live attributes.
-  std::shared_ptr<const Csr> postings_ = std::make_shared<const Csr>();
-  std::shared_ptr<const Csr> buckets_ = std::make_shared<const Csr>();
+  KeyedLists postings_{kMaxGramDf};
+  KeyedLists buckets_{kMaxBandBucket};
   using RowTable = ChunkedTable<Row, 10>;
   RowTable rows_;
   Segments row_segments_;

@@ -137,7 +137,9 @@ class CacheFixture {
  public:
   CacheFixture() {
     for (int i = 0; i < 12; ++i) {
-      Source s(0, "s" + std::to_string(i));
+      std::string name = "s";
+      name += std::to_string(i);
+      Source s(0, name);
       s.AddAttribute(Attribute("title"));
       s.AddAttribute(Attribute("year" + std::to_string(i % 3)));
       std::vector<uint64_t> tuples;

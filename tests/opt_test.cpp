@@ -34,7 +34,9 @@ class OptFixture {
  public:
   OptFixture() {
     for (int i = 0; i < 10; ++i) {
-      Source s(0, "s" + std::to_string(i));
+      std::string name = "s";
+      name += std::to_string(i);
+      Source s(0, name);
       if (i < 5) {
         s.AddAttribute(Attribute("title"));
         s.AddAttribute(Attribute("junk" + std::to_string(i) + "x"));

@@ -109,7 +109,9 @@ Universe DataUniverse() {
   };
   Universe u;
   for (int i = 0; i < 4; ++i) {
-    Source s(0, "s" + std::to_string(i));
+    std::string name = "s";
+    name += std::to_string(i);
+    Source s(0, name);
     s.AddAttribute(Attribute("x"));
     u.AddSource(std::move(s));
   }
@@ -178,7 +180,9 @@ TEST(RedundancyQefTest, DisjointSourcesScoreNearOne) {
   };
   Universe u;
   for (int i = 0; i < 3; ++i) {
-    Source s(0, "d" + std::to_string(i));
+    std::string name = "d";
+    name += std::to_string(i);
+    Source s(0, name);
     s.AddAttribute(Attribute("x"));
     u.AddSource(std::move(s));
   }
@@ -198,7 +202,9 @@ Universe CharacteristicUniverse() {
   const double mttf[] = {50.0, 100.0, 150.0};
   const uint64_t card[] = {1000, 1000, 2000};
   for (int i = 0; i < 3; ++i) {
-    Source s(0, "c" + std::to_string(i));
+    std::string name = "c";
+    name += std::to_string(i);
+    Source s(0, name);
     s.AddAttribute(Attribute("x"));
     s.set_cardinality(card[i]);
     s.characteristics().Set("mttf", mttf[i]);
@@ -385,7 +391,9 @@ TEST(SourceHealthQefTest, MeanOverSubsetWithHealthyDefault) {
 TEST(MatchQefTest, MemoizesAndMatchesDirectCalls) {
   Universe u;
   for (int i = 0; i < 3; ++i) {
-    Source s(0, "m" + std::to_string(i));
+    std::string name = "m";
+    name += std::to_string(i);
+    Source s(0, name);
     s.AddAttribute(Attribute("title"));
     u.AddSource(std::move(s));
   }

@@ -579,7 +579,9 @@ TEST(SignatureCacheTest, EstimateUnionSurvivesMemoChurn) {
   PcsaConfig config;
   config.num_maps = 64;
   for (uint32_t id = 0; id < 12; ++id) {
-    Source s(0, "s" + std::to_string(id));
+    std::string name = "s";
+    name += std::to_string(id);
+    Source s(0, name);
     s.AddAttribute(Attribute("x"));
     std::vector<uint64_t> tuples;
     for (uint64_t i = 0; i < 500; ++i) tuples.push_back(id * 400 + i);

@@ -389,6 +389,109 @@ TEST(SparseSimilarityTest, ChurnAcrossCompactionsEqualsRebuild) {
   EXPECT_GT(appended_after_compaction, 0u);
 }
 
+TEST(SparseSimilarityTest, CapFlipsAndListCompactionsEqualRebuild) {
+  // Two groups of identically named attributes sit exactly at the pruning
+  // caps. The kMaxGramDf copies of "qzjqzjq" pair only through their
+  // grams (their band buckets are degenerate), the kMaxBandBucket copies
+  // of "wxvwxvw" only through their band buckets (fillers that contain
+  // the name push its grams one past the df cap). Each round adds two
+  // more copies of a group and retires them again, one per batch: the
+  // lists cross their cap up, change while above it, and cross back down,
+  // and every crossing must drop or restore the group's pairs exactly as
+  // a fresh build does. Each round also adds a filler, so the fillers'
+  // gram lists carry pending changes through the list compactions the
+  // rounds cause; retiring the added fillers and one more brings those
+  // lists back to the cap at the end.
+  const size_t df_cap = SparseSimilarityIndex::kMaxGramDf;
+  const size_t bucket_cap = SparseSimilarityIndex::kMaxBandBucket;
+  Universe u = BooksUniverse(20);
+  auto add = [&](const std::string& name) {
+    std::string source_name = "src";
+    source_name += std::to_string(u.size());
+    Source source(0, source_name);
+    source.AddAttribute(Attribute(name));
+    return u.AddSource(std::move(source));
+  };
+  const std::string gram_name = "qzjqzjq";
+  const std::string bucket_name = "wxvwxvw";
+  Rng rng(11);
+  auto add_filler = [&]() {
+    // A long word of letters outside both names keeps a filler's band
+    // keys apart from the group's.
+    std::string name = bucket_name + " ";
+    for (int c = 0; c < 24; ++c) {
+      name += "abcdefghiklmnoprstuy"[rng.Uniform(20)];
+    }
+    return add(name);
+  };
+  const uint32_t gram_first = add(gram_name);
+  for (size_t s = 1; s < df_cap; ++s) add(gram_name);
+  const uint32_t bucket_first = add(bucket_name);
+  for (size_t s = 1; s < bucket_cap; ++s) add(bucket_name);
+  std::vector<uint32_t> fillers;
+  for (size_t s = 0; s <= df_cap - bucket_cap; ++s) {
+    fillers.push_back(add_filler());
+  }
+  const size_t gram_attr = u.GlobalAttrIndex(AttributeRef(gram_first, 0));
+  const size_t bucket_attr = u.GlobalAttrIndex(AttributeRef(bucket_first, 0));
+
+  NGramJaccard measure(3);
+  SparseSimilarityIndex index(u, measure);
+  const double floor = index.neighbor_floor();
+  ASSERT_EQ(Row(index, gram_attr, floor).size(), df_cap - 1);
+  ASSERT_EQ(Row(index, bucket_attr, floor).size(), bucket_cap - 1);
+
+  const double bound = SparseSimilarityIndex::kMaxDeadShare;
+  size_t list_compactions = 0;
+  uint64_t dead_lists_before = 0;
+  size_t batch = 0;
+  // Applies a batch that changed `source` and holds the index against a
+  // fresh build and the dead-share and memory bounds.
+  auto churn = [&](uint32_t source) {
+    index.ApplyChurn(u, measure, {source});
+    SparseSimilarityIndex rebuilt(u, measure);
+    ASSERT_EQ(AllRows(index), AllRows(rebuilt)) << "batch " << batch;
+    const SparseIndexStats stats = index.stats();
+    ASSERT_EQ(stats.stored_pairs, rebuilt.stats().stored_pairs);
+    EXPECT_LE(static_cast<double>(stats.dead_entries),
+              bound * 2.0 * static_cast<double>(stats.stored_pairs));
+    EXPECT_LE(static_cast<double>(index.MemoryBytes()),
+              (1.0 + bound) * static_cast<double>(rebuilt.MemoryBytes()))
+        << "batch " << batch;
+    if (stats.dead_list_entries < dead_lists_before) ++list_compactions;
+    dead_lists_before = stats.dead_list_entries;
+    ++batch;
+  };
+  std::vector<uint32_t> added_fillers;
+  for (size_t round = 0; round < 3; ++round) {
+    for (const auto& [name, attr] : {std::pair(gram_name, gram_attr),
+                                      std::pair(bucket_name, bucket_attr)}) {
+      // Up past the cap, further up, back to one above, then down to it.
+      uint32_t copies[2] = {0, 0};
+      for (size_t step = 0; step < 4; ++step) {
+        uint32_t& copy = copies[step % 2];
+        if (step < 2) {
+          copy = add(name);
+        } else {
+          u.RetireSource(copy);
+        }
+        churn(copy);
+        // Above the cap the group pairs with nothing; at it, with itself.
+        EXPECT_EQ(Row(index, attr, floor).empty(), step < 3)
+            << name << " round " << round << " step " << step;
+      }
+    }
+    added_fillers.push_back(add_filler());
+    churn(added_fillers.back());
+  }
+  added_fillers.push_back(fillers.front());
+  for (uint32_t filler : added_fillers) {
+    u.RetireSource(filler);
+    churn(filler);
+  }
+  EXPECT_GE(list_compactions, 2u);
+}
+
 TEST(SparseSimilarityDeathTest, ChurnCannotDropAttributes) {
   // Churn only ever appends attribute slots; a universe with fewer of them
   // than the index is a wiring bug, not a churn.

@@ -329,7 +329,9 @@ TEST(SimilarityMatrixTest, ParallelBuildBitIdentical) {
       "title", "titles", "book title", "author", "keyword", "keywords",
       "price", "isbn",   "year",       "format"};
   for (int i = 0; i < 30; ++i) {
-    Source s(0, "p" + std::to_string(i));
+    std::string name = "p";
+    name += std::to_string(i);
+    Source s(0, name);
     for (size_t p : rng.SampleWithoutReplacement(pool.size(), 3)) {
       s.AddAttribute(Attribute(pool[p]));
     }
